@@ -1,1 +1,1 @@
-"""Benchmark suite: one module per reproduced experiment (see DESIGN.md)."""
+"""Benchmark suite: one module per reproduced experiment (see ``repro.experiments.registry``)."""

@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark module reproduces one experiment of the index in DESIGN.md /
+Every benchmark module reproduces one experiment of the index in
 ``repro.experiments.registry``: it times the workload with pytest-benchmark
 and asserts the qualitative claim ("who wins / what shape the result has"),
-printing the reproduced table so that ``pytest benchmarks/ --benchmark-only``
-regenerates the rows recorded in EXPERIMENTS.md.
+printing the reproduced table, so ``pytest benchmarks/ --benchmark-only``
+regenerates the rows of every reproduced claim.
 
 Perf trajectory artifacts
 -------------------------

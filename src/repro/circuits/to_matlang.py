@@ -6,8 +6,8 @@ receives the ``n`` circuit inputs as an ``n x 1`` vector variable ``v``.
 The paper's proof encodes a two-stack depth-first evaluation of ``Phi_n``
 (Appendix D.2) inside an ``n x n`` matrix and drives it with a Turing-machine
 simulation.  Executing that literal encoding is infeasible at any useful
-dimension, so — as documented in DESIGN.md — the reproduction splits the
-construction into the two ingredients that make it true:
+dimension, so the reproduction splits the construction into the two
+ingredients that make it true:
 
 * :mod:`repro.circuits.stack_machine` implements the two-stack evaluation
   algorithm the encoding simulates, and

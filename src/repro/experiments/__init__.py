@@ -11,7 +11,7 @@ provides
   used by the benchmarks to print the rows of each reproduced claim;
 * the experiment registry (:mod:`repro.experiments.registry`) mapping
   experiment identifiers (E1 .. E14, F1, P1) to descriptions and bench
-  targets, mirroring the index in DESIGN.md;
+  targets;
 * the Figure 1 reproduction (:mod:`repro.experiments.figure1`), which places
   each stdlib query in its minimal fragment and verifies the claimed
   fragment equivalences on random instances.

@@ -307,7 +307,8 @@ class ServedWorkload:
 class ExperimentRecord:
     """The outcome of one reproduced claim.
 
-    ``identifier`` is the experiment id from DESIGN.md (E1 .. E14, F1, P1);
+    ``identifier`` is the experiment id from :mod:`repro.experiments.registry`
+    (E1 .. E14, F1, P1);
     ``passed`` states whether every row of the table satisfied the claim.
     """
 

@@ -1,8 +1,7 @@
 """The experiment registry: one entry per reproduced claim of the paper.
 
-The registry is the machine-readable version of the experiment index in
-DESIGN.md; EXPERIMENTS.md is written against it and the benchmark modules
-reference it so identifiers, descriptions and bench targets stay in sync.
+The registry is the experiment index; the benchmark modules reference it so
+identifiers, descriptions and bench targets stay in sync.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Seeded workload generators for tests, benchmarks and experiments.
 
 Every generator takes an explicit ``numpy.random.Generator`` (or a seed) so
-that the numbers recorded in EXPERIMENTS.md are reproducible.
+that every table the benchmarks print is reproducible.
 """
 
 from __future__ import annotations

@@ -39,7 +39,9 @@ The lowering walk itself turns a
 
 Compiled plans are cached at module level keyed by ``(expression, schema
 signature, optimizer options)`` — plans reference dimension *symbols*, not
-concrete sizes, so one plan serves every instance of a schema.
+concrete sizes, so one plan serves every instance of a schema.  An identity
+front keyed on the expression object answers warm repeats without hashing
+the expression tree.
 :func:`plan_cache_info` exposes hit / miss counters so tests (and
 benchmarks) can assert that re-evaluation performs no re-lowering.
 """
@@ -75,6 +77,7 @@ from repro.matlang.ast import (
 from repro.matlang.ir import Plan, PlanOp
 from repro.matlang.schema import Schema
 from repro.matlang.typecheck import TypedExpression, annotate
+from repro.profile import profile_generation
 
 __all__ = [
     "DEFAULT_OPTIONS",
@@ -456,7 +459,15 @@ PlanCacheInfo = namedtuple("PlanCacheInfo", "hits misses size capacity")
 
 _PLAN_CACHE: "OrderedDict[Tuple[Expression, Tuple], Plan]" = OrderedDict()
 _PLAN_CACHE_CAPACITY = 512
-#: Guards the cache dict *and* the counters: the get / move-to-end /
+#: Identity front of the plan cache for :func:`compile_expression`:
+#: ``(id(expression), id(options), signature, generation) -> (expression,
+#: options, plan)``.  The structural key hashes the whole expression tree
+#: (Csanky's renders to ~150k characters), while a warm caller hands in the
+#: same expression object again; keying on its id makes that hit O(1).  The
+#: expression and options are pinned in the entry, so their ids cannot be
+#: recycled while the entry lives.
+_IDENTITY_FRONT: "OrderedDict[Tuple, Tuple[Expression, Any, Plan]]" = OrderedDict()
+#: Guards both dicts *and* the counters: the get / move-to-end /
 #: insert / evict sequences and the info snapshot race under concurrent
 #: compilation (the service engine compiles on every submitter thread).
 #: An RLock so a registered trace hook calling ``plan_cache_info`` from
@@ -464,19 +475,6 @@ _PLAN_CACHE_CAPACITY = 512
 _PLAN_CACHE_LOCK = threading.RLock()
 _hits = 0
 _misses = 0
-
-
-def _profile_generation() -> int:
-    """The active cost-profile generation, folded into every cache key.
-
-    A profile update (calibration, profiler feedback) bumps the generation,
-    which makes every cached plan unreachable: the next compilation re-runs
-    the cost-based passes against the fresh weights instead of serving a
-    plan optimized under stale ones.
-    """
-    from repro.profile import profile_generation
-
-    return profile_generation()
 
 
 def _cache_lookup(key) -> Optional[Plan]:
@@ -507,15 +505,34 @@ def compile_expression(
 
     On a cache hit even the ``annotate`` pass is skipped: the key is the
     structural identity of the expression plus the schema signature and the
-    optimizer options, which together fully determine the plan.
+    optimizer options, which together fully determine the plan.  Repeat
+    calls with the same expression *object* hit the identity front first
+    and never hash the tree.
     """
+    global _hits
     if options is None:
         options = DEFAULT_OPTIONS
-    key = (expression, schema.signature(), options, _profile_generation())
+    signature = schema.signature()
+    # The profile generation joins every key: a profile update (calibration,
+    # profiler feedback) makes every cached plan unreachable, so the next
+    # compilation re-runs the cost-based passes against the fresh weights.
+    generation = profile_generation()
+    front_key = (id(expression), id(options), signature, generation)
+    with _PLAN_CACHE_LOCK:
+        entry = _IDENTITY_FRONT.get(front_key)
+        if entry is not None:
+            _hits += 1
+            _IDENTITY_FRONT.move_to_end(front_key)
+            return entry[2]
+    key = (expression, signature, options, generation)
     plan = _cache_lookup(key)
     if plan is None:
         plan = lower(annotate(expression, schema), options)
         _cache_store(key, plan)
+    with _PLAN_CACHE_LOCK:
+        _IDENTITY_FRONT[front_key] = (expression, options, plan)
+        while len(_IDENTITY_FRONT) > _PLAN_CACHE_CAPACITY:
+            _IDENTITY_FRONT.popitem(last=False)
     return plan
 
 
@@ -539,7 +556,7 @@ def compile_typed(
     signature = typed.schema_signature
     if signature is None:
         return lower(typed, options)
-    key = (typed.expression, signature, options, _profile_generation())
+    key = (typed.expression, signature, options, profile_generation())
     plan = _cache_lookup(key)
     if plan is None:
         plan = lower(typed, options)
@@ -562,9 +579,10 @@ def plan_cache_info() -> PlanCacheInfo:
 
 
 def clear_plan_cache() -> None:
-    """Empty the plan cache and reset the counters (used by tests)."""
+    """Empty the plan cache and its identity front, and reset the counters."""
     global _hits, _misses
     with _PLAN_CACHE_LOCK:
         _PLAN_CACHE.clear()
+        _IDENTITY_FRONT.clear()
         _hits = 0
         _misses = 0

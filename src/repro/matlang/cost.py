@@ -317,8 +317,16 @@ def _reorder(plan: Plan, notes: List[str], model: CostModel) -> Plan:
 
     out: List[PlanOp] = []
     remap: Dict[int, int] = {}
+    #: ``(left, right) -> register`` of the matmuls emitted so far: chains
+    #: rebuilt from shared leaves can ask for the same product twice.
+    products: Dict[Tuple[int, int], int] = {}
 
     def emit(op: PlanOp) -> int:
+        if op.opcode == "matmul":
+            existing = products.get(op.inputs)
+            if existing is not None:
+                return existing
+            products[op.inputs] = len(out)
         out.append(op)
         return len(out) - 1
 

@@ -76,10 +76,39 @@ schema in one pass: every instance's matrix for a variable is stacked into a
 stack on a :class:`~repro.semiring.backends.BatchedDenseBackend`.  The
 Python dispatch cost of the executor — the dominant cost of small-instance
 sweeps — is thereby paid once per op instead of once per op per instance,
-and quantifier loops iterate ``n`` times total instead of ``B * n`` times.
-All instances of a batch must agree on their dimension assignments (and
-semiring); the harness's :meth:`CompiledWorkload.run_batch` buckets mixed
-sweeps accordingly.
+and ``for`` / ``Pi`` loops iterate ``n`` times total instead of ``B * n``
+times.  All instances of a batch must agree on their dimension assignments
+(and semiring); the harness's :meth:`CompiledWorkload.run_batch` buckets
+mixed sweeps accordingly.
+
+Lane execution
+--------------
+The ``Sigma`` and ``Pi-o`` quantifiers combine their ``n`` iterations with
+the semiring's commutative ``+`` or ``o``, so the order of the iterations
+does not matter.  An unfused ``sum`` or ``hadamard`` loop therefore runs its
+body **once** for all of them: on a ``BatchedDenseBackend`` of ``B * n``
+*lanes*, with the iterator bound to the stack of all ``n`` canonical
+vectors (lane ``i * B + b`` holds vector ``i`` of instance ``b``) and every
+capture repeated per lane.  The lane axis is then folded by pairwise
+halving through the kernels' own ``add_matrices`` / ``hadamard``, so the
+int64 semirings keep their overflow checks (a fold that leaves int64
+raises ``SemiringError``; re-association may move *where* an overflow of
+an intermediate sum is detected, never let one wrap) and the exact
+semirings stay bitwise-equal to the tree-walk interpreter; float64 sums
+are re-associated and agree within rounding.  Single-instance execution
+is the ``B = 1`` case of the same function.  A nested quantifier widens the
+lanes again (the four-clique count at ``n = 8`` runs its innermost body
+over 4,096 lanes at once), and the iterator range is split into chunks so
+that lanes x the body's largest per-lane value — read from the resolved
+types of the body's ops — stays under :data:`LANE_ENTRY_BUDGET`; chunk
+sizes depend on dimensions only, never on values.
+
+``for`` and ``Pi`` loops keep their order (their accumulator threads
+through the iterations), but the quantifiers inside their bodies run as
+lanes.  Loops on a sparse backend and over object-dtype carriers (such as
+provenance polynomials, whose kernels fold entry by entry anyway) iterate
+one canonical vector at a time; the choice follows the backend and its
+storage dtype.
 """
 
 from __future__ import annotations
@@ -90,8 +119,11 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.exceptions import EvaluationError
+import numpy as np
+
+from repro.exceptions import EvaluationError, SchemaError
 from repro.matlang.schema import MatrixType
+from repro.semiring.backends import BatchedDenseBackend, DenseExecutionBackend
 
 __all__ = [
     "PLAN_WIRE_VERSION",
@@ -500,7 +532,7 @@ def _run(
         elif opcode == "apply":
             append(_run_apply(op, values, runtime, backend))
         elif opcode == "loop":
-            append(_run_loop(op, values, runtime, backend))
+            append(_run_loop(op, values, runtime, backend, _run))
         elif opcode == "nsum":
             count = runtime.dimension(op.symbol, "a fused quantifier")
             append(backend.nsum(values[op.inputs[0]], count))
@@ -556,9 +588,19 @@ def _run_apply(op: PlanOp, values: List[Any], runtime: _Runtime, backend: Any) -
     return backend.from_dense(result)
 
 
-def _run_loop(op: PlanOp, values: List[Any], runtime: _Runtime, backend: Any) -> Any:
+def _run_loop(
+    op: PlanOp, values: List[Any], runtime: _Runtime, backend: Any, run: Any
+) -> Any:
+    """Run one ``loop`` op; ``run`` is the interpreter of the enclosing plan.
+
+    ``sum`` and ``hadamard`` loops on a primitive-dtype dense backend run as
+    vector lanes (:func:`_run_lanes`); every other loop iterates in order,
+    running its body through ``run`` once per canonical vector.
+    """
     count = runtime.dimension(op.symbol, "a loop iterator")
     captured = tuple(values[register] for register in op.captures)
+    if op.kind in ("sum", "hadamard") and _lane_capable(backend):
+        return _run_lanes(op, captured, count, runtime, backend)
     body = op.body
 
     if op.kind == "for":
@@ -569,7 +611,7 @@ def _run_loop(op: PlanOp, values: List[Any], runtime: _Runtime, backend: Any) ->
             accumulator = backend.zeros(rows, cols)
         for index in range(count):
             iterator = backend.basis_column(count, index)
-            accumulator = _run(body, runtime, captured, iterator, accumulator, backend)
+            accumulator = run(body, runtime, captured, iterator, accumulator, backend)
         return accumulator
 
     if op.kind == "sum":
@@ -584,11 +626,124 @@ def _run_loop(op: PlanOp, values: List[Any], runtime: _Runtime, backend: Any) ->
     accumulator = None
     for index in range(count):
         iterator = backend.basis_column(count, index)
-        value = _run(body, runtime, captured, iterator, None, backend)
+        value = run(body, runtime, captured, iterator, None, backend)
         accumulator = value if accumulator is None else combine(accumulator, value)
     if accumulator is None:  # pragma: no cover - dimensions are always >= 1
         raise EvaluationError("quantifier iterated over an empty dimension")
     return accumulator
+
+
+# ----------------------------------------------------------------------
+# Lane execution of Sigma / Pi-o loops
+# ----------------------------------------------------------------------
+#: Upper bound on the entries of one lane-stacked body value: a vectorised
+#: quantifier splits its iterator range into chunks so that lanes x the
+#: largest per-lane value of its body stays below it (512 KiB of float64).
+LANE_ENTRY_BUDGET = 1 << 16
+
+
+def _lane_capable(backend: Any) -> bool:
+    """Whether loops on ``backend`` may run as lanes.
+
+    Lanes need the dense ``(lanes, rows, cols)`` representation; object
+    dtypes gain nothing from it (their kernels fold entry by entry anyway),
+    and sparse backends keep their own representation, so both iterate.
+    """
+    return (
+        isinstance(backend, (DenseExecutionBackend, BatchedDenseBackend))
+        and np.dtype(backend.kernels.dtype) != np.dtype(object)
+    )
+
+
+def _run_lanes(
+    op: PlanOp, captured: Tuple[Any, ...], count: int, runtime: _Runtime, backend: Any
+) -> Any:
+    """A ``sum`` / ``hadamard`` loop as one batched body over its iterations.
+
+    ``backend`` holds ``B`` instances: a :class:`BatchedDenseBackend` of
+    batch size ``B`` or a single-instance dense backend (``B = 1``).  A
+    chunk of ``k`` iterations runs the body once on a
+    ``BatchedDenseBackend`` of ``k * B`` lanes; lane ``i * B + b`` binds
+    the iterator to canonical vector ``start + i`` of instance ``b``, and
+    each capture is repeated ``k`` times.  The chunk's lanes are folded
+    pairwise with the kernels' own entrywise sum or product, whose
+    overflow checks and exactness hold on any stack rank.
+    """
+    single = not isinstance(backend, BatchedDenseBackend)
+    batch = 1 if single else backend.batch_size
+    instances = [runtime.instance] if single else runtime.instances
+    kernels = backend.kernels
+    combine = kernels.add_matrices if op.kind == "sum" else kernels.hadamard
+    basis = kernels.identity(count)
+    width = _lane_width(op.body, runtime, batch, count)
+    total = None
+    for start in range(0, count, width):
+        copies = min(count, start + width) - start
+        lanes = BatchedDenseBackend(backend.semiring, copies * batch)
+        iterator = basis[start : start + copies, :, None]
+        if batch > 1:
+            iterator = np.repeat(iterator, batch, axis=0)
+        lane_runtime = _BatchRuntime(
+            backend=lanes,
+            instances=instances * copies,
+            functions=runtime.functions,
+            profiler=runtime.profiler,
+        )
+        value = _run_batch(
+            op.body,
+            lane_runtime,
+            tuple(_per_lane(value, copies) for value in captured),
+            iterator,
+            None,
+            lanes,
+        )
+        value = _fold_lanes(value, copies, batch, combine)
+        total = value if total is None else combine(total, value)
+    return total[0] if single else total
+
+
+def _lane_width(body: Plan, runtime: _Runtime, batch: int, count: int) -> int:
+    """Iterations per lane chunk, from dimensions only (never values).
+
+    The per-lane footprint is the largest value the body's ops produce,
+    read from their resolved types (the iterator itself has ``count``
+    entries); types with an unresolvable symbol do not count.
+    """
+    largest = count
+    for op in body.ops:
+        if op.type is None:
+            continue
+        try:
+            rows, cols = runtime.shape(op.type, "a loop body value")
+        except (EvaluationError, SchemaError):
+            continue
+        largest = max(largest, rows * cols)
+    return max(1, min(count, LANE_ENTRY_BUDGET // (batch * largest)))
+
+
+def _per_lane(value: Any, copies: int) -> Any:
+    """A capture repeated for ``copies`` iterations, as a lane stack.
+
+    A ``(B, r, c)`` stack becomes ``(copies * B, r, c)`` with lane
+    ``i * B + b`` holding instance ``b``; a single ``(r, c)`` matrix
+    becomes ``(copies, r, c)``.
+    """
+    if value.ndim == 2:
+        return np.repeat(value[None], copies, axis=0)
+    if copies == 1:
+        return value
+    return np.tile(value, (copies, 1, 1))
+
+
+def _fold_lanes(value: Any, copies: int, batch: int, combine: Any) -> Any:
+    """Fold ``copies`` groups of ``batch`` lanes into one, by pairwise halving."""
+    while copies > 1:
+        half = copies // 2
+        folded = combine(value[: half * batch], value[half * batch : 2 * half * batch])
+        if copies % 2:
+            folded = np.concatenate((folded, value[2 * half * batch :]))
+        value, copies = folded, half + copies % 2
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -626,7 +781,9 @@ class _BatchRuntime(_Runtime):
         self.instances = instances
         self._load_cache: dict = {}
         self._stack_cache = stack_cache
-        self._batch_token = tuple(id(instance) for instance in instances)
+        self._batch_token = (
+            None if stack_cache is None else tuple(id(instance) for instance in instances)
+        )
 
     def load(self, name: str, backend: Any = None) -> Any:
         if backend is None:
@@ -823,8 +980,9 @@ def _run_batch(
     stacks, as block-diagonal structure on CSR values; shape inspections go
     through ``backend.batch_shape``), variable loads stack the whole batch
     per representation, and ``scale`` factors are batches of per-instance
-    scalars.  Loop structure is unchanged — which is the point: a loop body
-    evaluates once per iteration for the entire batch.
+    scalars.  A ``for`` / ``Pi`` loop body evaluates once per iteration for
+    the entire batch; ``sum`` / ``hadamard`` loops run as lanes (see the
+    module docstring).
     """
     if default is None:
         default = runtime.backend
@@ -897,7 +1055,7 @@ def _run_batch(
         elif opcode == "apply":
             append(_run_apply(op, values, runtime, backend))
         elif opcode == "loop":
-            append(_run_loop_batch(op, values, runtime, backend))
+            append(_run_loop(op, values, runtime, backend, _run_batch))
         elif opcode == "nsum":
             count = runtime.dimension(op.symbol, "a fused quantifier")
             append(backend.nsum(values[op.inputs[0]], count))
@@ -940,44 +1098,3 @@ def _run_batch(
             profiler.record(op, backend.name, values, time.perf_counter() - started)
 
     return values[plan.result]
-
-
-def _run_loop_batch(
-    op: PlanOp, values: List[Any], runtime: _BatchRuntime, backend: Any = None
-) -> Any:
-    if backend is None:
-        backend = runtime.backend
-    count = runtime.dimension(op.symbol, "a loop iterator")
-    captured = tuple(values[register] for register in op.captures)
-    body = op.body
-
-    if op.kind == "for":
-        if op.inputs:
-            accumulator = values[op.inputs[0]]
-        else:
-            rows, cols = runtime.shape(op.accumulator_type, "a loop accumulator")
-            accumulator = backend.zeros(rows, cols)
-        for index in range(count):
-            iterator = backend.basis_column(count, index)
-            accumulator = _run_batch(
-                body, runtime, captured, iterator, accumulator, backend
-            )
-        return accumulator
-
-    if op.kind == "sum":
-        combine = backend.add
-    elif op.kind == "hadamard":
-        combine = backend.hadamard
-    elif op.kind == "product":
-        combine = backend.matmul
-    else:  # pragma: no cover - the compiler only emits known kinds
-        raise EvaluationError(f"unknown loop kind {op.kind!r}")
-
-    accumulator = None
-    for index in range(count):
-        iterator = backend.basis_column(count, index)
-        value = _run_batch(body, runtime, captured, iterator, None, backend)
-        accumulator = value if accumulator is None else combine(accumulator, value)
-    if accumulator is None:  # pragma: no cover - dimensions are always >= 1
-        raise EvaluationError("quantifier iterated over an empty dimension")
-    return accumulator

@@ -114,10 +114,14 @@ class ExecutionProfiler:
         if op_class == "matmul":
             left = values[op.inputs[0]]
             right = values[op.inputs[1]]
-            rows = max(1, int(left.shape[0]))
-            inner = max(1, int(left.shape[1]))
-            cols = max(1, int(right.shape[1]))
-            return max(1.0, rows * inner * cols * _density(left) * _density(right))
+            # Batched operands are (B, rows, inner) @ (B, inner, cols) stacks.
+            stacks = int(left.shape[0]) if len(left.shape) == 3 else 1
+            rows = max(1, int(left.shape[-2]))
+            inner = max(1, int(left.shape[-1]))
+            cols = max(1, int(right.shape[-1]))
+            return max(
+                1.0, stacks * rows * inner * cols * _density(left) * _density(right)
+            )
         if op_class == "elementwise":
             work = _entries(result) * _density(result)
             for register in op.inputs:

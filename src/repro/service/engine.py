@@ -221,15 +221,12 @@ class Engine:
         #: One condition shared by every future this engine hands out (see
         #: :class:`repro.service.batching.QueryFuture`).
         self._result_condition = threading.Condition()
-        #: Expression-identity plan memo in front of the module plan cache:
-        #: the module cache is keyed on structural equality and re-hashes
-        #: the whole expression tree per lookup, which at serving rates is
-        #: the single largest per-submit cost.  Keying on ``id(expression)``
-        #: plus the schema signature makes repeat submissions O(1); the
-        #: expression is pinned in the value so its id cannot be recycled.
-        #: ``key -> (expression, plan, trace label)``.
-        self._plan_memo: Dict[Tuple[int, Tuple], Tuple[Any, Any, str]] = {}
-        self._plan_memo_lock = threading.Lock()
+        #: Trace labels of submitted expressions, ``id(expression) ->
+        #: (expression, label)``: ``str()`` on an AST costs microseconds, so
+        #: a traced engine pays it once per expression, not once per sampled
+        #: request.  The expression is pinned so its id cannot be recycled.
+        self._trace_labels: Dict[int, Tuple[Any, str]] = {}
+        self._trace_labels_lock = threading.Lock()
 
         #: Cross-request result memo; enabled by default in pooled mode.
         if memoize is None:
@@ -590,10 +587,9 @@ class Engine:
     # ------------------------------------------------------------------
     # Intake helpers
     # ------------------------------------------------------------------
-    #: Entries kept in the expression-identity plan memo; a serving mix
-    #: rarely has more live query shapes than this, and eviction only costs
-    #: a (cheap, correct) trip through the module plan cache.
-    _PLAN_MEMO_CAPACITY = 512
+    #: Entries kept in the trace-label cache; a serving mix rarely has more
+    #: live query shapes than this, and eviction only costs one ``str()``.
+    _TRACE_LABEL_CAPACITY = 512
 
     def _deadline_at(
         self, submitted_at: float, deadline: Optional[float]
@@ -656,34 +652,16 @@ class Engine:
         deadline: Optional[float] = None,
     ) -> Optional[QueryRequest]:
         from repro.matlang.compiler import compile_expression
-        from repro.profile import profile_generation
 
         tracer = self._tracer
         context = None
         intake = 0.0
-        label = None
         if tracer is not None:
             intake = time.perf_counter()
-            # The label (rendered expression) is filled in from the plan
-            # memo below: str() on an AST costs microseconds, so it is paid
-            # once per compile, not once per sampled request.
             context = tracer.start()
         try:
-            # The profile generation joins the key (like the module plan
-            # cache): a profile update makes every memoized plan unreachable
-            # so repeats recompile against the fresh measurements.
-            key = (id(expression), instance.schema.signature(), profile_generation())
-            entry = self._plan_memo.get(key)
-            if entry is not None and entry[0] is expression:
-                plan = entry[1]
-                label = entry[2]
-            else:
-                plan = compile_expression(expression, instance.schema, self.options)
-                label = _trace_label(expression)
-                with self._plan_memo_lock:
-                    while len(self._plan_memo) >= self._PLAN_MEMO_CAPACITY:
-                        self._plan_memo.pop(next(iter(self._plan_memo)))
-                    self._plan_memo[key] = (expression, plan, label)
+            # Warm repeats hit the plan cache's identity front in O(1).
+            plan = compile_expression(expression, instance.schema, self.options)
         except Exception as error:  # typing / schema errors belong to the future
             if context is not None:
                 context.add_perf(
@@ -704,14 +682,25 @@ class Engine:
             deadline_at=self._deadline_at(submitted_at, deadline),
         )
         if context is not None:
-            context.label = label
-            # Admission covers intake through compile/memo — everything the
+            context.label = self._label_for(expression)
+            # Admission covers intake through compile — everything the
             # submitting thread does before the request exists.
             context.add_perf("admission", "serving", intake, submitted_at - intake)
             request.trace = context
         if self.policy.max_pending_cost is not None:
             request.cost_estimate = estimate_cost(plan, instance)
         return request
+
+    def _label_for(self, expression: Any) -> str:
+        entry = self._trace_labels.get(id(expression))
+        if entry is not None:
+            return entry[1]
+        label = _trace_label(expression)
+        with self._trace_labels_lock:
+            while len(self._trace_labels) >= self._TRACE_LABEL_CAPACITY:
+                self._trace_labels.pop(next(iter(self._trace_labels)))
+            self._trace_labels[id(expression)] = (expression, label)
+        return label
 
     def _enqueue(self, requests: List[QueryRequest]) -> None:
         if not requests:

@@ -17,7 +17,7 @@ appendices:
 Where the appendix constructions contain typographical slips (the ``S_<=``
 scratch-column construction and the missing accumulator in ``neq``) the
 library uses equivalent corrected expressions; the deviations are documented
-on the functions and in DESIGN.md.
+on the functions.
 """
 
 from repro.stdlib.aggregates import (

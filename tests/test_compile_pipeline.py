@@ -428,6 +428,31 @@ class TestPlanCache:
                 result[0, 0], np.trace(np.asarray(instance.matrix("A")))
             )
 
+    def test_warm_hits_never_hash_the_expression(self):
+        from repro.matlang.ast import Var
+
+        hashed = []
+
+        class CountingVar(Var):
+            def __hash__(self):
+                hashed.append(self)
+                return super().__hash__()
+
+        expression = CountingVar("A") @ CountingVar("A") + CountingVar("A")
+        schema = Schema({"A": ("alpha", "alpha")})
+        plan = compile_expression(expression, schema)
+        hashed.clear()
+        assert compile_expression(expression, schema) is plan
+        assert not hashed, "a warm hit must not hash the expression tree"
+        # An equal but distinct object still hits, through the structural key.
+        twin = CountingVar("A") @ CountingVar("A") + CountingVar("A")
+        assert compile_expression(twin, schema) is plan
+        info = plan_cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+        clear_plan_cache()
+        assert compile_expression(expression, schema) is not plan
+        assert plan_cache_info().misses == 1
+
     def test_plans_are_symbolic_in_the_dimensions(self):
         # One plan serves instances of *different sizes* of the same schema.
         expression = ssum("_v", var("A") @ var("_v"))

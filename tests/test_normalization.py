@@ -286,6 +286,35 @@ class TestCostModel:
         plan = compile_expression((A @ B) @ C, schema)
         assert not any("re-associated" in note for note in plan.notes)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "transitive_closure_floyd_warshall",
+            "triangle_count",
+            "four_clique_count",
+            "plu_upper",
+            "csanky_inverse",
+        ],
+    )
+    def test_rebuilt_chains_share_identical_products(self, name):
+        # Reordered chains over shared leaves used to emit one matmul per
+        # product even when two products were identical (four_clique_count
+        # multiplied the same pair twice in its innermost body).
+        from repro import stdlib
+
+        def bodies(plan):
+            yield plan
+            for op in plan.ops:
+                if op.body is not None:
+                    yield from bodies(op.body)
+
+        schema = Instance.from_matrices({"A": np.eye(2)}).schema
+        plan = compile_expression(getattr(stdlib, name)(), schema)
+        for body in bodies(plan):
+            pure = [op for op in body.ops if op.opcode != "loop"]
+            keys = [(op.opcode, op.inputs, op.name, op.value, op.symbol, op.type) for op in pure]
+            assert len(set(keys)) == len(keys), name
+
 
 class TestPhysicalPlanning:
     def _sparse_instance(self, size=128, cycle=8):

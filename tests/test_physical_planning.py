@@ -479,6 +479,18 @@ class TestProfileFeedback:
         assert fitted.unit_costs["dense.matmul"] > 0.0
         assert fitted.symbol_sizes  # observe_instance fed the EWMA
 
+    def test_execution_profiler_counts_batched_matmul_work(self):
+        # A (B, r, k) @ (B, k, c) stack multiplies B r x k by k x c matrices.
+        from repro.matlang.ir import PlanOp
+
+        profiler = ExecutionProfiler()
+        values = [np.ones((4, 3, 5)), np.ones((4, 5, 7)), np.ones((4, 3, 7))]
+        profiler.record(PlanOp("matmul", (0, 1)), "batched", values, 1e-3)
+        profiler.record(PlanOp("matmul", (0, 1)), "dense", [v[0] for v in values], 1e-3)
+        samples = profiler.state()["samples"]
+        assert samples["batched.matmul"] == [(4 * 3 * 5 * 7, 1e-3)]
+        assert samples["dense.matmul"] == [(3 * 5 * 7, 1e-3)]
+
     def test_engine_profile_feedback_bumps_the_generation(self):
         instance = _mixed_instance(REAL, 24)
         generation = profile_generation()
