@@ -460,13 +460,14 @@ PlanCacheInfo = namedtuple("PlanCacheInfo", "hits misses size capacity")
 _PLAN_CACHE: "OrderedDict[Tuple[Expression, Tuple], Plan]" = OrderedDict()
 _PLAN_CACHE_CAPACITY = 512
 #: Identity front of the plan cache for :func:`compile_expression`:
-#: ``(id(expression), id(options), signature, generation) -> (expression,
-#: options, plan)``.  The structural key hashes the whole expression tree
-#: (Csanky's renders to ~150k characters), while a warm caller hands in the
-#: same expression object again; keying on its id makes that hit O(1).  The
-#: expression and options are pinned in the entry, so their ids cannot be
-#: recycled while the entry lives.
-_IDENTITY_FRONT: "OrderedDict[Tuple, Tuple[Expression, Any, Plan]]" = OrderedDict()
+#: ``(id(expression), options, signature, generation) -> (expression,
+#: plan)``.  The structural key hashes the whole expression tree (Csanky's
+#: renders to ~150k characters), while a warm caller hands in the same
+#: expression object again; keying on its id makes that hit O(1).  The
+#: expression is pinned in the entry, so its id cannot be recycled while
+#: the entry lives.  Eviction is first-in first-out: a hit only reads, and
+#: an evicted expression costs one structural lookup to re-enter.
+_IDENTITY_FRONT: "OrderedDict[Tuple, Tuple[Expression, Plan]]" = OrderedDict()
 #: Guards both dicts *and* the counters: the get / move-to-end /
 #: insert / evict sequences and the info snapshot race under concurrent
 #: compilation (the service engine compiles on every submitter thread).
@@ -517,20 +518,19 @@ def compile_expression(
     # profiler feedback) makes every cached plan unreachable, so the next
     # compilation re-runs the cost-based passes against the fresh weights.
     generation = profile_generation()
-    front_key = (id(expression), id(options), signature, generation)
+    front_key = (id(expression), options, signature, generation)
     with _PLAN_CACHE_LOCK:
         entry = _IDENTITY_FRONT.get(front_key)
         if entry is not None:
             _hits += 1
-            _IDENTITY_FRONT.move_to_end(front_key)
-            return entry[2]
+            return entry[1]
     key = (expression, signature, options, generation)
     plan = _cache_lookup(key)
     if plan is None:
         plan = lower(annotate(expression, schema), options)
         _cache_store(key, plan)
     with _PLAN_CACHE_LOCK:
-        _IDENTITY_FRONT[front_key] = (expression, options, plan)
+        _IDENTITY_FRONT[front_key] = (expression, plan)
         while len(_IDENTITY_FRONT) > _PLAN_CACHE_CAPACITY:
             _IDENTITY_FRONT.popitem(last=False)
     return plan

@@ -84,24 +84,25 @@ mixed sweeps accordingly.
 Lane execution
 --------------
 The ``Sigma`` and ``Pi-o`` quantifiers combine their ``n`` iterations with
-the semiring's commutative ``+`` or ``o``, so the order of the iterations
-does not matter.  An unfused ``sum`` or ``hadamard`` loop therefore runs its
-body **once** for all of them: on a ``BatchedDenseBackend`` of ``B * n``
-*lanes*, with the iterator bound to the stack of all ``n`` canonical
-vectors (lane ``i * B + b`` holds vector ``i`` of instance ``b``) and every
-capture repeated per lane.  The lane axis is then folded by pairwise
-halving through the kernels' own ``add_matrices`` / ``hadamard``, so the
-int64 semirings keep their overflow checks (a fold that leaves int64
-raises ``SemiringError``; re-association may move *where* an overflow of
-an intermediate sum is detected, never let one wrap) and the exact
-semirings stay bitwise-equal to the tree-walk interpreter; float64 sums
-are re-associated and agree within rounding.  Single-instance execution
-is the ``B = 1`` case of the same function.  A nested quantifier widens the
-lanes again (the four-clique count at ``n = 8`` runs its innermost body
-over 4,096 lanes at once), and the iterator range is split into chunks so
-that lanes x the body's largest per-lane value — read from the resolved
-types of the body's ops — stays under :data:`LANE_ENTRY_BUDGET`; chunk
-sizes depend on dimensions only, never on values.
+the semiring's ``+`` or ``o``; no iteration reads another's result.  An
+unfused ``sum`` or ``hadamard`` loop therefore runs its body **once** for
+all of them: on a ``BatchedDenseBackend`` of ``B * n`` *lanes*, with the
+iterator bound to the stack of all ``n`` canonical vectors (lane
+``i * B + b`` holds vector ``i`` of instance ``b``) and every capture
+repeated per lane.  The lanes are then folded in iteration order through
+the kernels' own ``add_matrices`` / ``hadamard``: the same left fold the
+tree-walk interpreter runs, so the int64 semirings check for overflow at
+the same partial sums (a fold that leaves int64 raises ``SemiringError``,
+never wraps), and a result never depends on how the range was chunked or
+on how many instances shared the batch.  Single-instance execution is the
+``B = 1`` case of the same function.  A nested quantifier widens the lanes
+again (the four-clique count at ``n = 8`` runs its innermost body over
+4,096 lanes at once), and the iterator range is split into chunks so that
+lanes x the body's largest per-lane value — read from the resolved types
+of the body's ops — stays under :data:`LANE_ENTRY_BUDGET`; chunk sizes
+depend on dimensions only, never on values.  Where a chunk would hold a
+single iteration (an ``n x n`` body value at ``n >= 256``), the loop
+iterates in order on the enclosing backend instead, with the same fold.
 
 ``for`` and ``Pi`` loops keep their order (their accumulator threads
 through the iterations), but the quantifiers inside their bodies run as
@@ -594,14 +595,18 @@ def _run_loop(
     """Run one ``loop`` op; ``run`` is the interpreter of the enclosing plan.
 
     ``sum`` and ``hadamard`` loops on a primitive-dtype dense backend run as
-    vector lanes (:func:`_run_lanes`); every other loop iterates in order,
-    running its body through ``run`` once per canonical vector.
+    vector lanes (:func:`_run_lanes`) when a chunk holds at least two
+    iterations; every other loop iterates in order, running its body
+    through ``run`` once per canonical vector.
     """
     count = runtime.dimension(op.symbol, "a loop iterator")
     captured = tuple(values[register] for register in op.captures)
-    if op.kind in ("sum", "hadamard") and _lane_capable(backend):
-        return _run_lanes(op, captured, count, runtime, backend)
     body = op.body
+    if op.kind in ("sum", "hadamard") and _lane_capable(backend):
+        batch = backend.batch_size if isinstance(backend, BatchedDenseBackend) else 1
+        width = _lane_width(body, runtime, batch, count)
+        if width > 1:
+            return _run_lanes(op, captured, count, width, runtime, backend)
 
     if op.kind == "for":
         if op.inputs:
@@ -656,18 +661,23 @@ def _lane_capable(backend: Any) -> bool:
 
 
 def _run_lanes(
-    op: PlanOp, captured: Tuple[Any, ...], count: int, runtime: _Runtime, backend: Any
+    op: PlanOp,
+    captured: Tuple[Any, ...],
+    count: int,
+    width: int,
+    runtime: _Runtime,
+    backend: Any,
 ) -> Any:
     """A ``sum`` / ``hadamard`` loop as one batched body over its iterations.
 
     ``backend`` holds ``B`` instances: a :class:`BatchedDenseBackend` of
     batch size ``B`` or a single-instance dense backend (``B = 1``).  A
-    chunk of ``k`` iterations runs the body once on a
+    chunk of ``k <= width`` iterations runs the body once on a
     ``BatchedDenseBackend`` of ``k * B`` lanes; lane ``i * B + b`` binds
     the iterator to canonical vector ``start + i`` of instance ``b``, and
-    each capture is repeated ``k`` times.  The chunk's lanes are folded
-    pairwise with the kernels' own entrywise sum or product, whose
-    overflow checks and exactness hold on any stack rank.
+    each capture is repeated ``k`` times.  The lanes are folded one
+    iteration at a time with the kernels' own entrywise sum or product,
+    whose overflow checks hold on any stack rank.
     """
     single = not isinstance(backend, BatchedDenseBackend)
     batch = 1 if single else backend.batch_size
@@ -675,7 +685,6 @@ def _run_lanes(
     kernels = backend.kernels
     combine = kernels.add_matrices if op.kind == "sum" else kernels.hadamard
     basis = kernels.identity(count)
-    width = _lane_width(op.body, runtime, batch, count)
     total = None
     for start in range(0, count, width):
         copies = min(count, start + width) - start
@@ -697,8 +706,11 @@ def _run_lanes(
             None,
             lanes,
         )
-        value = _fold_lanes(value, copies, batch, combine)
-        total = value if total is None else combine(total, value)
+        # Fold in iteration order, carrying the total across chunks: the
+        # tree-walk's left fold, whatever the chunk widths or batch size.
+        for index in range(copies):
+            lane = value[index * batch : (index + 1) * batch]
+            total = lane if total is None else combine(total, lane)
     return total[0] if single else total
 
 
@@ -726,24 +738,14 @@ def _per_lane(value: Any, copies: int) -> Any:
 
     A ``(B, r, c)`` stack becomes ``(copies * B, r, c)`` with lane
     ``i * B + b`` holding instance ``b``; a single ``(r, c)`` matrix
-    becomes ``(copies, r, c)``.
+    becomes a stride-0 ``(copies, r, c)`` view (kernels never mutate
+    their operands).
     """
     if value.ndim == 2:
-        return np.repeat(value[None], copies, axis=0)
+        return np.broadcast_to(value, (copies,) + value.shape)
     if copies == 1:
         return value
     return np.tile(value, (copies, 1, 1))
-
-
-def _fold_lanes(value: Any, copies: int, batch: int, combine: Any) -> Any:
-    """Fold ``copies`` groups of ``batch`` lanes into one, by pairwise halving."""
-    while copies > 1:
-        half = copies // 2
-        folded = combine(value[: half * batch], value[half * batch : 2 * half * batch])
-        if copies % 2:
-            folded = np.concatenate((folded, value[2 * half * batch :]))
-        value, copies = folded, half + copies % 2
-    return value
 
 
 # ----------------------------------------------------------------------

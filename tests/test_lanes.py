@@ -14,7 +14,9 @@ run through
 
 Every result must equal the tree-walk interpreter
 (``Evaluator(compile=False)``): bitwise on the exact semirings, within a
-tolerance scaled by the program's magnitude bound on REAL.
+tolerance scaled by the program's magnitude bound on REAL.  The compiled
+paths must also agree with each other bitwise on every semiring: lanes fold
+in iteration order, so no result depends on chunking or batch size.
 """
 
 import itertools
@@ -217,15 +219,20 @@ def _check_all_paths(semiring, program, n, seed, budget):
     instances = [_instance(semiring, n, seed + index) for index in range(3)]
     references = [_tree_walk(expression, instance) for instance in instances]
     workload = CompiledWorkload(expression, SCHEMA)
+    # Every compiled path folds in iteration order, so on every semiring
+    # (float64 included) it is bitwise-equal to plain ``evaluate``.
+    compiled = evaluate(expression, instances[0])
     saved = ir.LANE_ENTRY_BUDGET
     try:
         for lane_budget in (saved, budget):
             ir.LANE_ENTRY_BUDGET = lane_budget
             single = evaluate(expression, instances[0])
             assert _agree(semiring, single, references[0], bound), (lane_budget, expression)
+            assert np.array_equal(single, compiled), (lane_budget, expression)
             batched = workload.run_batch(instances)
             for result, reference in zip(batched, references):
                 assert _agree(semiring, result, reference, bound), (lane_budget, expression)
+            assert np.array_equal(batched[0], compiled), (lane_budget, expression)
     finally:
         ir.LANE_ENTRY_BUDGET = saved
     if semiring in (BOOLEAN, MIN_PLUS, MAX_PLUS) and HAVE_SCIPY:
@@ -291,6 +298,59 @@ def test_chunk_widths_depend_on_dimensions_only(monkeypatch):
         assert np.array_equal(evaluate(expression, instance), _tree_walk(expression, instance))
     assert widths[: len(widths) // 2] == widths[len(widths) // 2 :]
     assert min(widths) < 3  # the budget split the range
+
+
+@pytest.mark.parametrize("budget", [ir.LANE_ENTRY_BUDGET, 8192])
+def test_real_results_do_not_depend_on_the_batch(monkeypatch, budget):
+    # n = 16 with n x n body values: alone, an instance runs all 16
+    # iterations as one chunk; in a batch of 32 the range splits into
+    # chunks of 8 (or of 1, which iterates in order on the batch).  The
+    # float64 sums must come out bitwise-equal either way.
+    n, batch = 16, 32
+    v = var("v")
+    expression = ssum("v", (v.T @ var("A") @ v) * (var("A") @ v @ v.T @ var("B")))
+    assert compile_expression(expression, SCHEMA).count_ops("loop") == 1
+    widths = []
+    original = ir._lane_width
+
+    def spy(body, runtime, batch_size, count):
+        widths.append(original(body, runtime, batch_size, count))
+        return widths[-1]
+
+    monkeypatch.setattr(ir, "_lane_width", spy)
+    monkeypatch.setattr(ir, "LANE_ENTRY_BUDGET", budget)
+    instances = [_instance(REAL, n, seed) for seed in range(batch)]
+    singles = [evaluate(expression, instance) for instance in instances]
+    batched = CompiledWorkload(expression, SCHEMA).run_batch(instances)
+    assert widths[0] == n and min(widths[batch:]) < n
+    for single, result in zip(singles, batched):
+        assert np.array_equal(single, result)
+
+
+def test_integer_lane_fold_follows_iteration_order():
+    # Summed in iteration order the lanes 2^62, -2^62, 2^62, -2^62 never
+    # leave int64 (as in the tree-walk); any regrouping would overflow.
+    schema = Schema({"u": ("alpha", "1"), "w": ("alpha", "1")})
+    v = var("v")
+    expression = ssum("v", (var("u").T @ v) * (v.T @ var("w")))
+    instance = Instance.from_matrices(
+        {
+            "u": np.array([[2**62], [-(2**62)], [2**62], [-(2**62)]]),
+            "w": np.ones((4, 1), dtype=np.int64),
+        },
+        semiring=INTEGER,
+        schema=schema,
+    )
+    assert np.array_equal(_tree_walk(expression, instance), [[0]])
+    saved = ir.LANE_ENTRY_BUDGET
+    try:
+        for budget in (saved, 2, 3):
+            ir.LANE_ENTRY_BUDGET = budget
+            assert np.array_equal(evaluate(expression, instance), [[0]])
+            for result in CompiledWorkload(expression, schema).run_batch([instance] * 3):
+                assert np.array_equal(result, [[0]])
+    finally:
+        ir.LANE_ENTRY_BUDGET = saved
 
 
 @pytest.mark.parametrize("quantifier", [ssum, had], ids=["sum", "hadamard"])
