@@ -6,13 +6,17 @@ that deciding whether an expression has polynomial degree is undecidable.
 Two complementary, decidable tools are therefore provided:
 
 * :func:`analyse_degree` — a conservative syntactic analysis.  It tracks, for
-  every loop, how the degree of the accumulator grows per iteration.  When no
-  loop multiplies its accumulator with itself (or feeds it through an
-  unbounded pointwise function), the expression is certified to have
-  polynomial degree; this criterion covers all of sum-MATLANG (Proposition
-  6.1), FO-MATLANG, prod-MATLANG, and every Section 4 algorithm.  The analysis
-  may report ``certified_polynomial = False`` for expressions that happen to
-  be polynomial — that is the unavoidable price of Proposition 5.5.
+  every loop, how the degree of the accumulator grows per iteration, as the
+  largest of a few affine bounds in the degrees of every accumulator in
+  scope: an inner loop passes on how it uses the enclosing accumulators, and
+  a ``Pi`` / ``Pi-o`` quantifier multiplies its body's use of them by ``n``.
+  When no loop multiplies its accumulator's degree (by a constant above 1 or
+  by a factor that grows with ``n``) or feeds it through an unbounded
+  pointwise function, the expression is certified to have polynomial degree;
+  this criterion covers all of sum-MATLANG (Proposition 6.1), FO-MATLANG,
+  prod-MATLANG and Csanky's algorithm (Section 4).  The analysis may report
+  ``certified_polynomial = False`` for expressions that happen to be
+  polynomial — that is the unavoidable price of Proposition 5.5.
 * :func:`circuit_degree_for_dimension` — the exact degree for one concrete
   dimension ``n``, obtained by compiling the expression to an arithmetic
   circuit (Theorem 5.3) and reading off the circuit degree.  Evaluating it for
@@ -22,8 +26,10 @@ Two complementary, decidable tools are therefore provided:
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Callable, FrozenSet, Mapping, Optional, Tuple, Union
 
 from repro.matlang.ast import (
     Add,
@@ -49,6 +55,11 @@ _MULTIPLICATIVE_FUNCTIONS = frozenset({"mul", "square"})
 _DEGREE_PRESERVING_FUNCTIONS = frozenset({"add", "sub", "neg", "min", "max", "abs"})
 
 
+#: Coefficient standing for a multiple of the dimension ``n``: a loop whose
+#: accumulator degree is multiplied by it grows super-polynomially.
+GROWS_WITH_N = math.inf
+
+
 @dataclass(frozen=True)
 class LoopGrowth:
     """Per-iteration growth of a loop accumulator's degree.
@@ -56,12 +67,13 @@ class LoopGrowth:
     After one iteration the accumulator degree ``d`` becomes at most
     ``multiplier * d + increment``.  ``multiplier <= 1`` means the degree grows
     by at most an additive constant per iteration, hence stays polynomial in
-    the dimension ``n``.
+    the dimension ``n``; :data:`GROWS_WITH_N` means the factor grows with
+    ``n``.
     """
 
     iterator: str
     accumulator: Optional[str]
-    multiplier: int
+    multiplier: Union[int, float]
     increment: int
 
     @property
@@ -88,43 +100,114 @@ class DegreeReport:
         reasons = []
         for loop in self.loops:
             if not loop.is_polynomial:
+                factor = (
+                    "a factor that grows with n"
+                    if loop.multiplier == GROWS_WITH_N
+                    else loop.multiplier
+                )
                 reasons.append(
                     f"loop over {loop.iterator!r} multiplies the degree of its "
-                    f"accumulator by {loop.multiplier} each iteration"
+                    f"accumulator by {factor} each iteration"
                 )
         for function in self.opaque_functions:
             reasons.append(f"pointwise function {function!r} is not degree-tracked")
         return "; ".join(reasons) if reasons else "no certificate produced"
 
 
+#: One affine bound ``constant + sum_X k_X * deg(X)``, keyed by its sorted
+#: nonzero ``(X, k_X)`` pairs over the for-loop accumulators ``X`` in scope.
+_Coefficients = Tuple[Tuple[str, Union[int, float]], ...]
+
+
+def _combined(
+    left: _Coefficients, right: _Coefficients, join: Callable[[Any, Any], Any]
+) -> _Coefficients:
+    merged = dict(left)
+    for name, coefficient in right:
+        merged[name] = join(merged.get(name, 0), coefficient)
+    return tuple(sorted(merged.items()))
+
+
+def _repeated(term: _Coefficients, dropped: Optional[str] = None) -> _Coefficients:
+    """``term`` added up ``n`` times: each coefficient grows with ``n``.
+
+    ``dropped`` (a loop's own accumulator, consumed by the loop) is removed.
+    """
+    return tuple((name, GROWS_WITH_N) for name, _ in term if name != dropped)
+
+
 @dataclass(frozen=True)
 class _Degree:
-    """Symbolic degree: ``constant + accumulator_coefficient * deg(accumulator)``."""
+    """Symbolic degree: the largest of a few affine bounds (*terms*).
 
-    constant: int
-    accumulator_coefficient: int = 0
+    ``terms`` maps each term's coefficients to its constant.  The terms of a
+    sum stay apart, so ``for w, Y. Y + e`` (a sum in disguise) keeps ``e``'s
+    degree instead of adding it ``n`` times; a coefficient may be
+    :data:`GROWS_WITH_N`.
+    """
+
+    terms: Mapping[_Coefficients, int]
+
+    @property
+    def constant(self) -> int:
+        return max(self.terms.values())
+
+    def coefficient(self, accumulator: str) -> Union[int, float]:
+        return max(dict(term).get(accumulator, 0) for term in self.terms)
+
+    @property
+    def reads_accumulator(self) -> bool:
+        return any(self.terms)
 
     def combine_max(self, other: "_Degree") -> "_Degree":
-        return _Degree(
-            max(self.constant, other.constant),
-            max(self.accumulator_coefficient, other.accumulator_coefficient),
-        )
+        terms = dict(self.terms)
+        for term, constant in other.terms.items():
+            terms[term] = max(terms.get(term, constant), constant)
+        return _Degree.of(terms)
 
     def combine_sum(self, other: "_Degree") -> "_Degree":
         # deg(e1 . e2) = deg(e1) + deg(e2); the cross term between two
         # accumulator occurrences is what makes X . X super-polynomial, which
         # we track by adding the coefficients.
+        terms: dict = {}
+        for left, left_constant in self.terms.items():
+            for right, right_constant in other.terms.items():
+                term = _combined(left, right, operator.add)
+                constant = left_constant + right_constant
+                terms[term] = max(terms.get(term, constant), constant)
+        return _Degree.of(terms)
+
+    def repeated(self) -> "_Degree":
+        """``n`` chained copies, as the additive part of their degree."""
+        return _Degree.of({_repeated(term): constant for term, constant in self.terms.items()})
+
+    @staticmethod
+    def of(terms: Mapping[_Coefficients, int]) -> "_Degree":
+        """The degree of ``terms`` without the terms another one dominates."""
+
+        def dominates(term: _Coefficients, other: _Coefficients) -> bool:
+            return term != other and terms[term] >= terms[other] and (
+                _combined(term, other, max) == term
+            )
+
         return _Degree(
-            self.constant + other.constant,
-            self.accumulator_coefficient + other.accumulator_coefficient,
+            {
+                other: constant
+                for other, constant in terms.items()
+                if not any(dominates(term, other) for term in terms)
+            }
         )
+
+
+def _constant(value: int) -> _Degree:
+    return _Degree({(): value})
 
 
 def analyse_degree(expression: Expression) -> DegreeReport:
     """Run the conservative syntactic degree analysis on ``expression``."""
     loops: list[LoopGrowth] = []
     opaque: set[str] = set()
-    degree = _analyse(expression, accumulator=None, loops=loops, opaque=opaque)
+    degree = _analyse(expression, frozenset(), loops=loops, opaque=opaque)
     certified = not opaque and all(loop.is_polynomial for loop in loops)
     return DegreeReport(
         certified_polynomial=certified,
@@ -141,49 +224,49 @@ def is_certified_polynomial_degree(expression: Expression) -> bool:
 
 def _analyse(
     expression: Expression,
-    accumulator: Optional[str],
+    accumulators: FrozenSet[str],
     loops: list,
     opaque: set,
 ) -> _Degree:
     if isinstance(expression, Var):
-        if accumulator is not None and expression.name == accumulator:
-            return _Degree(0, 1)
-        return _Degree(1, 0)
+        if expression.name in accumulators:
+            return _Degree({((expression.name, 1),): 0})
+        return _constant(1)
 
     if isinstance(expression, Literal):
-        return _Degree(0, 0)
+        return _constant(0)
 
     if isinstance(expression, (Transpose, OneVector, Diag, TypeHint)):
         child = expression.children()[0] if expression.children() else None
         if child is None:
-            return _Degree(0, 0)
-        inner = _analyse(child, accumulator, loops, opaque)
+            return _constant(0)
+        inner = _analyse(child, accumulators, loops, opaque)
         if isinstance(expression, OneVector):
-            return _Degree(0, 0)
+            return _constant(0)
         return inner
 
     if isinstance(expression, Add):
-        left = _analyse(expression.left, accumulator, loops, opaque)
-        right = _analyse(expression.right, accumulator, loops, opaque)
+        left = _analyse(expression.left, accumulators, loops, opaque)
+        right = _analyse(expression.right, accumulators, loops, opaque)
         return left.combine_max(right)
 
     if isinstance(expression, (MatMul, ScalarMul)):
         children = expression.children()
-        left = _analyse(children[0], accumulator, loops, opaque)
-        right = _analyse(children[1], accumulator, loops, opaque)
+        left = _analyse(children[0], accumulators, loops, opaque)
+        right = _analyse(children[1], accumulators, loops, opaque)
         return left.combine_sum(right)
 
     if isinstance(expression, Apply):
-        operands = [_analyse(op, accumulator, loops, opaque) for op in expression.operands]
+        operands = [_analyse(op, accumulators, loops, opaque) for op in expression.operands]
         if expression.function in _MULTIPLICATIVE_FUNCTIONS:
-            total = _Degree(0, 0)
+            total = _constant(0)
             for operand in operands:
                 total = total.combine_sum(operand)
             if expression.function == "square":
                 total = total.combine_sum(total)
             return total
         if expression.function in _DEGREE_PRESERVING_FUNCTIONS:
-            total = _Degree(0, 0)
+            total = _constant(0)
             for operand in operands:
                 total = total.combine_max(operand)
             return total
@@ -191,47 +274,50 @@ def _analyse(
         # not break polynomiality of the *numerator/denominator degrees*
         # (Corollary 5.6), but we cannot bound composition through them, so we
         # record them as opaque unless the operands are accumulator-free.
-        total = _Degree(0, 0)
-        involves_accumulator = False
+        total = _constant(0)
         for operand in operands:
             total = total.combine_max(operand)
-            if operand.accumulator_coefficient > 0:
-                involves_accumulator = True
-        if involves_accumulator:
+        if total.reads_accumulator:
             opaque.add(expression.function)
         return total
 
+    # A loop's iterator shadows an accumulator of the same name in its body.
     if isinstance(expression, SumLoop):
-        body = _analyse(expression.body, accumulator, loops, opaque)
+        body = _analyse(expression.body, accumulators - {expression.iterator}, loops, opaque)
         loops.append(LoopGrowth(expression.iterator, None, 1, body.constant))
         return body
 
     if isinstance(expression, (HadamardLoop, ProductLoop)):
-        body = _analyse(expression.body, accumulator, loops, opaque)
+        body = _analyse(expression.body, accumulators - {expression.iterator}, loops, opaque)
         # The accumulator of the desugared loop is multiplied by the body once
         # per iteration; its own degree is not squared, so growth is linear in
-        # n, i.e. polynomial degree.
+        # n, i.e. polynomial degree.  The product of n bodies multiplies the
+        # body's use of an enclosing accumulator by n.
         loops.append(LoopGrowth(expression.iterator, None, 1, body.constant))
-        return body
+        return body.repeated()
 
     if isinstance(expression, ForLoop):
-        init_degree = _Degree(0, 0)
+        init_degree = _constant(0)
         if expression.init is not None:
-            init_degree = _analyse(expression.init, accumulator, loops, opaque)
-        body = _analyse(expression.body, expression.accumulator, loops, opaque)
-        loops.append(
-            LoopGrowth(
-                expression.iterator,
-                expression.accumulator,
-                body.accumulator_coefficient,
-                body.constant,
-            )
-        )
-        # Degree of the loop as seen from the outside: when growth is linear
-        # (coefficient <= 1) the result degree is bounded by
-        # init + n * increment, polynomial in n; we report the additive part.
-        outer_constant = max(init_degree.constant, body.constant)
-        return _Degree(outer_constant, init_degree.accumulator_coefficient)
+            init_degree = _analyse(expression.init, accumulators, loops, opaque)
+        accumulator = expression.accumulator
+        inner = (accumulators - {expression.iterator}) | {accumulator}
+        body = _analyse(expression.body, inner, loops, opaque)
+        multiplier = body.coefficient(accumulator)
+        loops.append(LoopGrowth(expression.iterator, accumulator, multiplier, body.constant))
+        # Degree of the loop as seen from the outside, as its additive part:
+        # a term that reads the loop's own accumulator adds itself up to n
+        # times, which multiplies its use of enclosing accumulators by n
+        # (and the initialiser's too, when multiplier > 1); a term that does
+        # not is the last iteration's value.
+        if multiplier > 1:
+            init_degree = init_degree.repeated()
+        terms = dict(init_degree.terms)
+        for term, constant in body.terms.items():
+            if dict(term).get(accumulator, 0):
+                term = _repeated(term, accumulator)
+            terms[term] = max(terms.get(term, constant), constant)
+        return _Degree.of(terms)
 
     raise TypeError(f"cannot analyse unknown node {type(expression).__name__}")
 

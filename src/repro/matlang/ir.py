@@ -104,26 +104,66 @@ depend on dimensions only, never on values.  Where a chunk would hold a
 single iteration (an ``n x n`` body value at ``n >= 256``), the loop
 iterates in order on the enclosing backend instead, with the same fold.
 
-``for`` and ``Pi`` loops keep their order (their accumulator threads
-through the iterations), but the quantifiers inside their bodies run as
-lanes.  Loops on a sparse backend and over object-dtype carriers (such as
-provenance polynomials, whose kernels fold entry by entry anyway) iterate
-one canonical vector at a time; the choice follows the backend and its
-storage dtype.
+``Pi`` loops and most ``for`` loops keep their order (their accumulator
+threads through the iterations), but the quantifiers inside their bodies
+run as lanes.  Loops on a sparse backend and over object-dtype carriers
+(such as provenance polynomials, whose kernels fold entry by entry anyway)
+iterate one canonical vector at a time; the choice follows the backend and
+its storage dtype.  :meth:`Plan.explain` reports the mode of every loop op,
+from the same function (:func:`_loop_mode`) the executor asks.
+
+Affine ``for`` loops
+--------------------
+A ``for`` loop whose accumulator ``X`` is a vector or a scalar (its type
+has a ``1`` dimension) and whose body is *affine* in ``X`` also runs as
+lanes: every iteration ``v`` is a map ``X -> M_v . X + b_v``.  The body
+plan is classified op by op.  A value that depends on ``X`` stays linear
+through ``transpose``, ``diag``, the fused sums, ``add``, and a product
+(``matmul``, ``hadamard``, ``scale``) with an ``X``-free operand; ``ones``
+and ``identity_of`` read only a shape, so they are ``X``-free.  A product of
+two ``X``-dependent values, an ``apply``, ``power``, ``hadamard_power`` or
+``diag_product`` of one, a nested loop that reads ``X``, or a physical tag
+disqualifies the body, and a body that never reads ``X`` keeps the in-order
+loop.
+
+An affine body is *homogenized* once per body plan (:attr:`Plan.affine_body`):
+every ``X``-free summand of an ``add`` whose other summand reads ``X`` is
+scaled by a per-lane scalar ``t``, giving ``g(X, t) = L_v(X) + t . b_v``.
+``t`` is the semiring's ``0`` or ``1``, so no subtraction is needed and the
+rule holds on every semiring.  One pass of ``g`` over ``n * (m + 1)`` lanes,
+binding ``(X, t)`` to ``(e_k, 0)`` for each of ``X``'s ``m`` entries and to
+``(0, 1)``, yields every iteration's ``M_v`` (column ``k`` is ``L_v(e_k)``;
+a row-vector accumulator multiplies from the right) and ``b_v``.  The maps
+are then applied in iteration order, ``X <- M_v . X + b_v``, through the
+kernels' batched ``matmul`` and ``add``, so an int64 overflow raises
+``SemiringError`` and never wraps.  The lane pass is :func:`_run_lanes`'s,
+as for ``Sigma``; the range is chunked over iterations and ``X`` is carried
+from chunk to chunk.
+
+The choice depends on the plan and the dimensions only: a loop runs as
+affine lanes when one instance's ``n * (m + 1)`` lanes times the largest
+per-lane value of ``g`` fit :data:`LANE_ENTRY_BUDGET` (PLU's pivot scan
+does up to ``n = 39``); a batch of ``B`` instances only narrows the chunks.
+Each step re-associates by distributivity only, as the fused ops do, so
+exact semirings are bitwise-equal to the tree-walk whenever nothing
+overflows, REAL agrees within rounding, and ``evaluate``, ``run_batch`` and
+``Engine`` are bitwise-equal to each other on every semiring and raise on
+the same inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import EvaluationError, SchemaError
-from repro.matlang.schema import MatrixType
+from repro.matlang.schema import SCALAR_SYMBOL, MatrixType, scalar_type
 from repro.semiring.backends import BatchedDenseBackend, DenseExecutionBackend
 
 __all__ = [
@@ -217,6 +257,23 @@ class Plan:
         """Number of ops (including nested bodies) with the given opcode."""
         return sum(1 for op in self.walk_ops() if op.opcode == opcode)
 
+    @functools.cached_property
+    def affine_body(self) -> Optional["Plan"]:
+        """This ``for`` body homogenized in its accumulator, or ``None``.
+
+        The plan of ``g(X, t)`` (see "Affine ``for`` loops" in the module
+        docstring): the same ops, with every ``X``-free summand of an add
+        that reads ``X`` scaled by ``t``, which ``g`` reads as capture 0
+        (the body's own captures move up by one).  ``None`` when the body
+        is not affine in its accumulator or never reads it.
+        """
+        return _homogenize(self)
+
+    @functools.cached_property
+    def value_types(self) -> Tuple[MatrixType, ...]:
+        """The distinct types of this plan's op values, in first-use order."""
+        return tuple(dict.fromkeys(op.type for op in self.ops if op.type is not None))
+
     def describe(self, indent: str = "") -> str:
         """A readable listing of the plan, for debugging and tests."""
         lines: List[str] = []
@@ -297,6 +354,10 @@ class Plan:
                 sections.append(
                     f"  r{register} {op.opcode}: {assigned} [batch: {batched}]"
                 )
+            sections.append("loop execution (evaluate):")
+            runtime = _Runtime(backend=physical.backend, instance=instance, functions=None)
+            loops = _explain_loops(physical.plan, runtime, physical.backend, physical.backends)
+            sections.extend(loops or ["  (no loops)"])
         return "\n".join(sections)
 
 
@@ -594,26 +655,25 @@ def _run_loop(
 ) -> Any:
     """Run one ``loop`` op; ``run`` is the interpreter of the enclosing plan.
 
-    ``sum`` and ``hadamard`` loops on a primitive-dtype dense backend run as
-    vector lanes (:func:`_run_lanes`) when a chunk holds at least two
-    iterations; every other loop iterates in order, running its body
+    :func:`_loop_mode` decides whether the loop runs as lanes
+    (:func:`_run_lanes`); otherwise it iterates in order, running its body
     through ``run`` once per canonical vector.
     """
     count = runtime.dimension(op.symbol, "a loop iterator")
     captured = tuple(values[register] for register in op.captures)
     body = op.body
-    if op.kind in ("sum", "hadamard") and _lane_capable(backend):
-        batch = backend.batch_size if isinstance(backend, BatchedDenseBackend) else 1
-        width = _lane_width(body, runtime, batch, count)
-        if width > 1:
-            return _run_lanes(op, captured, count, width, runtime, backend)
-
+    accumulator = None
     if op.kind == "for":
         if op.inputs:
             accumulator = values[op.inputs[0]]
         else:
             rows, cols = runtime.shape(op.accumulator_type, "a loop accumulator")
             accumulator = backend.zeros(rows, cols)
+    mode = _loop_mode(op, runtime, backend, count)
+    if mode.width:
+        return _run_lanes(op, mode, captured, accumulator, count, runtime, backend)
+
+    if op.kind == "for":
         for index in range(count):
             iterator = backend.basis_column(count, index)
             accumulator = run(body, runtime, captured, iterator, accumulator, backend)
@@ -628,7 +688,6 @@ def _run_loop(
     else:  # pragma: no cover - the compiler only emits known kinds
         raise EvaluationError(f"unknown loop kind {op.kind!r}")
 
-    accumulator = None
     for index in range(count):
         iterator = backend.basis_column(count, index)
         value = run(body, runtime, captured, iterator, None, backend)
@@ -639,12 +698,68 @@ def _run_loop(
 
 
 # ----------------------------------------------------------------------
-# Lane execution of Sigma / Pi-o loops
+# Lane execution of Sigma / Pi-o loops and affine for loops
 # ----------------------------------------------------------------------
 #: Upper bound on the entries of one lane-stacked body value: a vectorised
-#: quantifier splits its iterator range into chunks so that lanes x the
-#: largest per-lane value of its body stays below it (512 KiB of float64).
+#: loop splits its iterator range into chunks so that lanes x the largest
+#: per-lane value of its body stays below it (512 KiB of float64).
 LANE_ENTRY_BUDGET = 1 << 16
+
+
+class _LoopMode(namedtuple("_LoopMode", "width entries reason")):
+    """How one loop op runs (see :func:`_loop_mode`).
+
+    ``width`` iterations share one lane pass, or ``0`` when the loop
+    iterates in order for ``reason``; ``entries`` is ``m``, the entry count
+    of an affine ``for`` loop's accumulator, and ``0`` for ``Sigma`` /
+    ``Pi-o`` lanes.
+    """
+
+    __slots__ = ()
+
+    def describe(self) -> str:
+        if not self.width:
+            return f"in order ({self.reason})"
+        if self.entries:
+            return f"affine lanes, m={self.entries}, chunk width {self.width}"
+        return f"lanes, chunk width {self.width}"
+
+
+def _loop_mode(op: PlanOp, runtime: _Runtime, backend: Any, count: int) -> _LoopMode:
+    """How ``op`` runs on ``backend``, from the plan and the dimensions only.
+
+    Only :func:`_lane_capable` backends run lanes.  A ``sum`` /
+    ``hadamard`` loop runs as lanes when a chunk holds at least
+    two iterations.  A ``for`` loop runs as affine lanes when its
+    accumulator type has a ``1`` dimension, its body is affine in it
+    (:attr:`Plan.affine_body`) and one instance's lanes fit
+    :data:`LANE_ENTRY_BUDGET`; the batch size only narrows its chunks.
+    :func:`_run_loop` executes this decision and :meth:`Plan.explain`
+    reports it.
+    """
+    if op.kind not in ("sum", "hadamard", "for"):
+        return _LoopMode(0, 0, f"kind {op.kind!r}")
+    if not _lane_capable(backend):
+        dense = isinstance(backend, (DenseExecutionBackend, BatchedDenseBackend))
+        return _LoopMode(0, 0, "object dtype" if dense else f"{backend.name} backend")
+    batch = backend.batch_size if isinstance(backend, BatchedDenseBackend) else 1
+    if op.kind != "for":
+        width = _lane_width(op.body, runtime, batch, count)
+        if width > 1:
+            return _LoopMode(width, 0, None)
+        return _LoopMode(0, 0, "over the lane budget")
+    if op.type is None or SCALAR_SYMBOL not in op.type:
+        return _LoopMode(0, 0, "accumulator not a vector")
+    body = op.body.affine_body
+    if body is None:
+        return _LoopMode(0, 0, "body not affine")
+    rows, cols = runtime.shape(op.type, "a loop accumulator")
+    # Per iteration and instance: one lane for each binding of (X, t).
+    footprint = (rows * cols + 1) * _largest_value(body, runtime, count)
+    if count * footprint > LANE_ENTRY_BUDGET:
+        return _LoopMode(0, 0, "over the lane budget")
+    width = max(1, min(count, LANE_ENTRY_BUDGET // (batch * footprint)))
+    return _LoopMode(width, rows * cols, None)
 
 
 def _lane_capable(backend: Any) -> bool:
@@ -662,75 +777,134 @@ def _lane_capable(backend: Any) -> bool:
 
 def _run_lanes(
     op: PlanOp,
+    mode: _LoopMode,
     captured: Tuple[Any, ...],
+    accumulator: Any,
     count: int,
-    width: int,
     runtime: _Runtime,
     backend: Any,
 ) -> Any:
-    """A ``sum`` / ``hadamard`` loop as one batched body over its iterations.
+    """A ``sum`` / ``hadamard`` loop or an affine ``for`` loop as lanes.
 
     ``backend`` holds ``B`` instances: a :class:`BatchedDenseBackend` of
-    batch size ``B`` or a single-instance dense backend (``B = 1``).  A
-    chunk of ``k <= width`` iterations runs the body once on a
-    ``BatchedDenseBackend`` of ``k * B`` lanes; lane ``i * B + b`` binds
-    the iterator to canonical vector ``start + i`` of instance ``b``, and
-    each capture is repeated ``k`` times.  The lanes are folded one
-    iteration at a time with the kernels' own entrywise sum or product,
-    whose overflow checks hold on any stack rank.
+    batch size ``B`` or a single-instance dense backend (``B = 1``).  Each
+    iteration takes ``p`` lanes per instance: one for a quantifier, and one
+    per binding ``j`` of ``(X, t)`` for an affine loop (``(e_j, 0)`` for
+    ``j < m``, then ``(0, 1)``).  A chunk of ``k <= mode.width`` iterations
+    runs the body once on a ``BatchedDenseBackend`` of ``k * p * B`` lanes;
+    lane ``(i * p + j) * B + b`` binds the iterator to canonical vector
+    ``start + i`` of instance ``b``, and each capture is repeated ``k * p``
+    times.  A quantifier's lanes are folded one iteration at a time with the
+    kernels' own entrywise sum or product; an affine loop applies each
+    iteration's map ``X <- M_v . X + b_v`` in turn with the kernels' batched
+    matmul and add.  Both follow the tree-walk's iteration order, and the
+    kernels' overflow checks hold on any stack rank.
     """
     single = not isinstance(backend, BatchedDenseBackend)
     batch = 1 if single else backend.batch_size
     instances = [runtime.instance] if single else runtime.instances
     kernels = backend.kernels
-    combine = kernels.add_matrices if op.kind == "sum" else kernels.hadamard
     basis = kernels.identity(count)
-    total = None
-    for start in range(0, count, width):
-        copies = min(count, start + width) - start
-        lanes = BatchedDenseBackend(backend.semiring, copies * batch)
+    entries = mode.entries
+    if entries:
+        body = op.body.affine_body
+        rows, cols = accumulator.shape[-2:]
+        # The (t, X) bindings of one iteration, lane j * B + b.
+        t = np.concatenate([kernels.zeros(entries, 1), kernels.ones(1, 1)])
+        x = np.concatenate([kernels.identity(entries), kernels.zeros(1, entries)])
+        bindings = [
+            np.repeat(stack.reshape(-1, *shape), batch, axis=0)
+            for stack, shape in ((t, (1, 1)), (x, (rows, cols)))
+        ]
+        total = accumulator[None] if single else accumulator
+    else:
+        body = op.body
+        combine = kernels.add_matrices if op.kind == "sum" else kernels.hadamard
+        total = None
+    per_iteration = entries + 1
+    repeats = per_iteration * batch
+    for start in range(0, count, mode.width):
+        copies = min(count, start + mode.width) - start
+        lanes = BatchedDenseBackend(backend.semiring, copies * repeats)
         iterator = basis[start : start + copies, :, None]
-        if batch > 1:
-            iterator = np.repeat(iterator, batch, axis=0)
+        if repeats > 1:
+            iterator = np.repeat(iterator, repeats, axis=0)
         lane_runtime = _BatchRuntime(
             backend=lanes,
-            instances=instances * copies,
+            instances=instances * (copies * per_iteration),
             functions=runtime.functions,
             profiler=runtime.profiler,
         )
-        value = _run_batch(
-            op.body,
-            lane_runtime,
-            tuple(_per_lane(value, copies) for value in captured),
-            iterator,
-            None,
-            lanes,
-        )
-        # Fold in iteration order, carrying the total across chunks: the
-        # tree-walk's left fold, whatever the chunk widths or batch size.
+        lane_captures = tuple(_per_lane(value, copies * per_iteration) for value in captured)
+        if not entries:
+            value = _run_batch(body, lane_runtime, lane_captures, iterator, None, lanes)
+            # Fold in iteration order, carrying the total across chunks: the
+            # tree-walk's left fold, whatever the chunk widths or batch size.
+            for index in range(copies):
+                lane = value[index * batch : (index + 1) * batch]
+                total = lane if total is None else combine(total, lane)
+            continue
+        t_lanes, x_lanes = (np.tile(stack, (copies, 1, 1)) for stack in bindings)
+        value = _run_batch(body, lane_runtime, (t_lanes,) + lane_captures, iterator, x_lanes, lanes)
+        g = np.ascontiguousarray(value).reshape(copies, per_iteration, batch, entries)
+        offsets = g[:, entries].reshape(copies, batch, rows, cols)
+        # L_v(e_j) is column j of M_v (X <- M_v X + b_v) for a column
+        # accumulator and row j of M_v (X <- X M_v + b_v) for a row; each
+        # (B, m, m) stack is contiguous, whatever B is.
+        axes = (0, 2, 3, 1) if cols == 1 else (0, 2, 1, 3)
+        maps = np.ascontiguousarray(g[:, :entries].transpose(axes))
         for index in range(copies):
-            lane = value[index * batch : (index + 1) * batch]
-            total = lane if total is None else combine(total, lane)
+            if cols == 1:
+                product = kernels.batch_matmul(maps[index], total)
+            else:
+                product = kernels.batch_matmul(total, maps[index])
+            total = kernels.batch_add(product, offsets[index])
     return total[0] if single else total
 
 
-def _lane_width(body: Plan, runtime: _Runtime, batch: int, count: int) -> int:
-    """Iterations per lane chunk, from dimensions only (never values).
+def _explain_loops(
+    plan: Plan, runtime: _Runtime, default: Any, backends: Any, indent: str = "  "
+) -> List[str]:
+    """One line per loop op of ``plan`` and its bodies: the mode it runs in.
 
-    The per-lane footprint is the largest value the body's ops produce,
-    read from their resolved types (the iterator itself has ``count``
+    A body runs on its loop's backend when the loop iterates in order, and
+    on the lanes of the loop's first chunk otherwise.
+    """
+    lines: List[str] = []
+    for register, op in enumerate(plan.ops):
+        if op.opcode != "loop":
+            continue
+        backend = default if op.backend is None else backends[op.backend]
+        count = runtime.dimension(op.symbol, "a loop iterator")
+        mode = _loop_mode(op, runtime, backend, count)
+        lines.append(f"{indent}r{register} {op.kind} over {op.symbol}: {mode.describe()}")
+        if mode.width:
+            batch = backend.batch_size if isinstance(backend, BatchedDenseBackend) else 1
+            lanes = mode.width * (mode.entries + 1) * batch
+            backend = BatchedDenseBackend(backend.semiring, lanes)
+        lines.extend(_explain_loops(op.body, runtime, backend, backends, indent + "  "))
+    return lines
+
+
+def _largest_value(body: Plan, runtime: _Runtime, count: int) -> int:
+    """Entries of the largest value ``body``'s ops produce, per lane.
+
+    Read from the ops' resolved types (the iterator itself has ``count``
     entries); types with an unresolvable symbol do not count.
     """
     largest = count
-    for op in body.ops:
-        if op.type is None:
-            continue
+    for value_type in body.value_types:
         try:
-            rows, cols = runtime.shape(op.type, "a loop body value")
+            rows, cols = runtime.shape(value_type, "a loop body value")
         except (EvaluationError, SchemaError):
             continue
         largest = max(largest, rows * cols)
-    return max(1, min(count, LANE_ENTRY_BUDGET // (batch * largest)))
+    return largest
+
+
+def _lane_width(body: Plan, runtime: _Runtime, batch: int, count: int) -> int:
+    """Iterations per ``Sigma`` / ``Pi-o`` lane chunk, from dimensions only."""
+    return max(1, min(count, LANE_ENTRY_BUDGET // (batch * _largest_value(body, runtime, count))))
 
 
 def _per_lane(value: Any, copies: int) -> Any:
@@ -746,6 +920,71 @@ def _per_lane(value: Any, copies: int) -> Any:
     if copies == 1:
         return value
     return np.tile(value, (copies, 1, 1))
+
+
+#: Opcodes linear in their one operand on every semiring.
+_LINEAR_OPCODES = frozenset(
+    {"transpose", "diag", "nsum", "row_sums", "col_sums", "trace", "diag_of_diag"}
+)
+#: Opcodes that read only their operand's shape.
+_SHAPE_OPCODES = frozenset({"ones", "identity_of"})
+#: Products, linear in each operand separately.
+_PRODUCT_OPCODES = frozenset({"matmul", "hadamard", "scale"})
+
+
+def _homogenize(body: Plan) -> Optional[Plan]:
+    """``g(X, t)`` of a ``for`` body affine in its accumulator, or ``None``.
+
+    Classifies the body op by op (see "Affine ``for`` loops" in the module
+    docstring) and copies it with ``t`` as capture 0: every other capture
+    index moves up by one, and an ``X``-free summand of an add that reads
+    ``X`` is scaled by ``t`` first.
+    """
+    ops: List[PlanOp] = [PlanOp("capture", type=scalar_type(), value=0)]
+    where: List[int] = []  # body register -> register of g
+    reads: List[bool] = []  # body register depends on X
+    for op in body.ops:
+        if op.backend is not None:
+            return None
+        inputs = [where[register] for register in op.inputs]
+        dependent = [reads[register] for register in op.inputs]
+        changes: dict = {}
+        if op.opcode == "accumulator":
+            read = True
+        elif op.opcode == "capture":
+            read = False
+            changes["value"] = op.value + 1
+        elif op.opcode == "loop":
+            if any(dependent) or any(reads[register] for register in op.captures):
+                return None
+            read = False
+            changes["captures"] = tuple(where[register] for register in op.captures)
+        elif not any(dependent) or op.opcode in _SHAPE_OPCODES:
+            read = False
+        elif op.opcode in _LINEAR_OPCODES or (
+            op.opcode in _PRODUCT_OPCODES and not all(dependent)
+        ):
+            read = True
+        elif op.opcode == "add":
+            read = True
+            for side, flag in enumerate(dependent):
+                if not flag:
+                    operand_type = body.ops[op.inputs[side]].type
+                    ops.append(PlanOp("scale", (0, inputs[side]), type=operand_type))
+                    inputs[side] = len(ops) - 1
+        else:
+            return None
+        ops.append(replace(op, inputs=tuple(inputs), **changes))
+        where.append(len(ops) - 1)
+        reads.append(read)
+    if not reads[body.result]:
+        return None
+    return Plan(
+        ops=tuple(ops),
+        result=where[body.result],
+        pinned=tuple(where[register] for register in body.pinned),
+        notes=body.notes,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""Differential tests for lane execution of Sigma and Pi-o loops.
+"""Differential tests for lane execution of Sigma / Pi-o and affine for loops.
 
 Unfused ``sum`` / ``hadamard`` loops run their body once over all of their
 iterations, stacked as lanes of a batched backend (see "Lane execution" in
-:mod:`repro.matlang.ir`).  Generated programs nest these quantifiers with
-iterator-dependent bodies, inside ``for`` and ``Pi`` loops, through
-pointwise functions and over vectors, scalars and size-1 dimensions, and
-run through
+:mod:`repro.matlang.ir`), and so do ``for`` loops whose body is affine in a
+vector or scalar accumulator (see "Affine ``for`` loops").  Generated
+programs nest these quantifiers with iterator-dependent bodies, inside
+``for`` and ``Pi`` loops, through pointwise functions and over vectors,
+scalars and size-1 dimensions; generated ``for`` loops over column-vector,
+scalar and row-vector accumulators mix ``X``-free terms with terms linear
+in ``X``, and some add a term that keeps the loop in order.  Each program
+runs through
 
 * the compiled single-instance path (``evaluate``),
 * ``run_batch`` over several instances at once, and
@@ -16,20 +20,23 @@ Every result must equal the tree-walk interpreter
 (``Evaluator(compile=False)``): bitwise on the exact semirings, within a
 tolerance scaled by the program's magnitude bound on REAL.  The compiled
 paths must also agree with each other bitwise on every semiring: lanes fold
-in iteration order, so no result depends on chunking or batch size.
+and affine maps apply in iteration order, so no result depends on chunking
+or batch size.  (A budget that moves an affine loop into or out of lanes
+re-associates its REAL sums, so on REAL affine programs are compared
+bitwise across paths at one budget.)
 """
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SemiringError
 from repro.experiments.harness import CompiledWorkload
 from repro.matlang import ir
-from repro.matlang.builder import apply, forloop, had, lit, prod, ssum, var
+from repro.matlang.builder import apply, forloop, had, lit, ones, prod, ssum, var
 from repro.matlang.compiler import compile_expression
 from repro.matlang.evaluator import Evaluator, evaluate
 from repro.matlang.instance import Instance
@@ -37,6 +44,7 @@ from repro.matlang.schema import Schema
 from repro.semiring import BOOLEAN, INTEGER, MAX_PLUS, MIN_PLUS, NATURAL, REAL
 from repro.semiring.backends import BatchedDenseBackend, backend_for
 from repro.semiring.provenance import PROVENANCE, Polynomial
+from repro.stdlib.linalg import plu_upper
 
 try:
     import scipy.sparse  # noqa: F401
@@ -214,7 +222,7 @@ def _tree_walk(expression, instance):
     return Evaluator(instance, compile=False).run(expression)
 
 
-def _check_all_paths(semiring, program, n, seed, budget):
+def _check_all_paths(semiring, program, n, seed, budget, across_budgets=True):
     expression, bound = program
     instances = [_instance(semiring, n, seed + index) for index in range(3)]
     references = [_tree_walk(expression, instance) for instance in instances]
@@ -228,11 +236,12 @@ def _check_all_paths(semiring, program, n, seed, budget):
             ir.LANE_ENTRY_BUDGET = lane_budget
             single = evaluate(expression, instances[0])
             assert _agree(semiring, single, references[0], bound), (lane_budget, expression)
-            assert np.array_equal(single, compiled), (lane_budget, expression)
+            if across_budgets:
+                assert np.array_equal(single, compiled), (lane_budget, expression)
             batched = workload.run_batch(instances)
             for result, reference in zip(batched, references):
                 assert _agree(semiring, result, reference, bound), (lane_budget, expression)
-            assert np.array_equal(batched[0], compiled), (lane_budget, expression)
+            assert np.array_equal(batched[0], single), (lane_budget, expression)
     finally:
         ir.LANE_ENTRY_BUDGET = saved
     if semiring in (BOOLEAN, MIN_PLUS, MAX_PLUS) and HAVE_SCIPY:
@@ -258,6 +267,10 @@ def test_lanes_agree_with_the_tree_walk(semiring, program, n, seed, budget):
 def test_provenance_loops_agree_with_the_tree_walk(program, n):
     # Object-dtype carriers keep the sequential loop.
     assert not ir._lane_capable(backend_for(PROVENANCE, "dense"))
+    _check_provenance(program, n)
+
+
+def _check_provenance(program, n):
     expression, _ = program
     matrices = {}
     for name, kind in SHAPES.items():
@@ -300,29 +313,48 @@ def test_chunk_widths_depend_on_dimensions_only(monkeypatch):
     assert min(widths) < 3  # the budget split the range
 
 
+#: A Sigma loop with n x n body values, and an affine for loop over a
+#: vector with n x 1 body values: ``X <- (v^T u) X + (u^T X)(v^T u) u + v s``.
+BATCH_LOOPS = {
+    "sum": ssum("v", (var("v").T @ var("A") @ var("v")) * (var("A") @ var("v") @ var("v").T @ var("B"))),
+    "affine": forloop(
+        "v",
+        "X",
+        (var("v").T @ var("u")) * var("X")
+        + ((var("u").T @ var("X")) @ (var("v").T @ var("u"))) * var("u")
+        + var("v") @ var("s"),
+        init=var("u"),
+    ),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(BATCH_LOOPS))
 @pytest.mark.parametrize("budget", [ir.LANE_ENTRY_BUDGET, 8192])
-def test_real_results_do_not_depend_on_the_batch(monkeypatch, budget):
-    # n = 16 with n x n body values: alone, an instance runs all 16
-    # iterations as one chunk; in a batch of 32 the range splits into
-    # chunks of 8 (or of 1, which iterates in order on the batch).  The
-    # float64 sums must come out bitwise-equal either way.
+def test_real_results_do_not_depend_on_the_batch(monkeypatch, budget, loop):
+    # n = 16: alone, an instance runs all 16 iterations as one chunk; in a
+    # batch of 32 the range splits into chunks of 8 (sum) or 7 (affine), or
+    # at the smaller budget of 1 (the sum then iterates in order on the
+    # batch; the affine loop keeps lanes, as the choice is per instance).
+    # The float64 results must come out bitwise-equal either way.
     n, batch = 16, 32
-    v = var("v")
-    expression = ssum("v", (v.T @ var("A") @ v) * (var("A") @ v @ v.T @ var("B")))
+    expression = BATCH_LOOPS[loop]
     assert compile_expression(expression, SCHEMA).count_ops("loop") == 1
     widths = []
-    original = ir._lane_width
+    original = ir._loop_mode
 
-    def spy(body, runtime, batch_size, count):
-        widths.append(original(body, runtime, batch_size, count))
-        return widths[-1]
+    def spy(op, runtime, backend, count):
+        mode = original(op, runtime, backend, count)
+        widths.append(mode.width)
+        return mode
 
-    monkeypatch.setattr(ir, "_lane_width", spy)
+    monkeypatch.setattr(ir, "_loop_mode", spy)
     monkeypatch.setattr(ir, "LANE_ENTRY_BUDGET", budget)
     instances = [_instance(REAL, n, seed) for seed in range(batch)]
     singles = [evaluate(expression, instance) for instance in instances]
     batched = CompiledWorkload(expression, SCHEMA).run_batch(instances)
     assert widths[0] == n and min(widths[batch:]) < n
+    if loop == "affine":
+        assert min(widths[batch:]) >= 1
     for single, result in zip(singles, batched):
         assert np.array_equal(single, result)
 
@@ -365,6 +397,214 @@ def test_integer_lane_fold_overflow_raises(quantifier):
         semiring=INTEGER,
         schema=schema,
     )
+    with pytest.raises(SemiringError):
+        evaluate(expression, instance)
+    with pytest.raises(SemiringError):
+        CompiledWorkload(expression, schema).run_batch([instance, instance])
+    with pytest.raises(SemiringError):
+        _tree_walk(expression, instance)
+
+
+# ----------------------------------------------------------------------
+# Affine for loops
+# ----------------------------------------------------------------------
+#: Accumulator kinds of the affine generator: column vector, scalar, row.
+ACCUMULATORS = ("V", "S", "R")
+
+
+@st.composite
+def affine_programs(draw):
+    """``(expression, magnitude bound)`` of a ``for`` loop over a vector.
+
+    The accumulator ``X`` is ``alpha x 1`` (V), ``1 x 1`` (S) or
+    ``1 x alpha`` (R).  Each step sums, in a drawn order, ``X``-free terms
+    that read the iterator and terms linear in ``X`` (``M.X``, ``X.M``,
+    ``(1^T X).c``, ``X.s``, ``s.X``), and sometimes ``X`` itself or one term
+    that keeps the loop in order (``apply`` of ``X``, ``X.X^T.u``, a Sigma
+    that reads ``X``).  The bound iterates the step's magnitude ``n`` times
+    and assumes entries of magnitude <= 1.
+    """
+    n = MAX_DIMENSION
+    kind = draw(st.sampled_from(ACCUMULATORS))
+    v, x, w = var("_av"), var("_aX"), var("_aw")
+    a, b, u, s = var("A"), var("B"), var("u"), var("s")
+
+    def scalar():
+        return draw(st.sampled_from([s, lit(1), v.T @ a @ v, v.T @ u]))
+
+    def free():
+        """An ``X``-free term of ``X``'s type that reads the iterator."""
+        return draw(
+            st.sampled_from(
+                {
+                    "V": [v, a @ v, (v.T @ u) * u, s * v],
+                    "S": [v.T @ a @ v, v.T @ u, (v.T @ u) @ s],
+                    "R": [v.T, v.T @ a, (v.T @ u) * u.T],
+                }[kind]
+            )
+        )
+
+    def linear():
+        """A term linear in ``X`` and its gain on ``|X|``."""
+        matrix = draw(st.sampled_from([a, b, v @ v.T, a @ v @ v.T]))
+        shapes = {
+            "V": ["M.X", "(1^T X).c", "X.s", "s.X"],
+            "S": ["M.X", "(1^T X).c", "X.s", "s.X"],
+            "R": ["X.M", "(X 1).c", "s.X"],
+        }[kind]
+        shape = draw(st.sampled_from(shapes))
+        if shape == "M.X":
+            return (matrix @ x, n) if kind == "V" else (scalar() @ x, 1)
+        if shape == "X.M":
+            return x @ matrix, n
+        if shape == "(1^T X).c":
+            return (ones(x).T @ x) * free(), n
+        if shape == "(X 1).c":
+            return (x @ ones(x.T)) * free(), n
+        if shape == "X.s":
+            return x @ scalar(), 1
+        return scalar() * x, 1
+
+    def in_order():
+        """A term that keeps the loop in order and its bound on ``|X|``."""
+        shape = draw(st.sampled_from(["apply", "outer", "sum"]))
+        if shape == "apply":
+            function = draw(st.sampled_from(["mul", "add"]))
+            term = apply(function, x, free())
+            return term, (lambda m: m) if function == "mul" else (lambda m: m + 1)
+        if shape == "outer":
+            tail = {"V": u, "S": s, "R": u.T}[kind]
+            return x @ x.T @ tail, lambda m: n * m * m
+        body = {
+            "V": (w.T @ x) * (a @ w),
+            "S": (w.T @ u) * x @ (w.T @ a @ w),
+            "R": (x @ w) * (v.T @ a @ w) * w.T,
+        }[kind]
+        return ssum("_aw", body), lambda m: n * m
+
+    terms = [linear() for _ in range(draw(st.integers(1, 2)))]
+    terms += [(free(), 0) for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        terms.append((x, 1))
+    extra = in_order() if draw(st.integers(0, 2)) == 0 else None
+    order = draw(st.permutations(range(len(terms) + (extra is not None))))
+    summands = [extra[0] if index == len(terms) else terms[index][0] for index in order]
+    step = summands[0]
+    for summand in summands[1:]:
+        step = step + summand
+
+    init = draw(st.sampled_from([None, {"V": u, "S": s, "R": u.T}[kind]]))
+    gain = sum(g * n for _, g in terms)
+    constant = sum(n for _, g in terms if g == 0)
+    bound = 1.0
+    for _ in range(n):
+        bound = gain * bound + constant + (extra[1](bound) if extra else 0)
+    assume(bound <= MAGNITUDE_CAP)
+    return forloop("_av", "_aX", step, init=init), bound
+
+
+@pytest.mark.parametrize("semiring", EXACT + [REAL], ids=lambda s: s.name)
+@settings(max_examples=40, deadline=None)
+@given(
+    program=affine_programs(),
+    n=st.integers(1, MAX_DIMENSION),
+    seed=st.integers(0, 2**16),
+    budget=st.integers(1, 120),
+)
+def test_affine_loops_agree_with_the_tree_walk(semiring, program, n, seed, budget):
+    _check_all_paths(semiring, program, n, seed, budget, across_budgets=semiring is not REAL)
+
+
+@settings(max_examples=15, deadline=None)
+@given(program=affine_programs(), n=st.integers(1, 2))
+def test_provenance_affine_loops_agree_with_the_tree_walk(program, n):
+    _check_provenance(program, n)
+
+
+#: One program per linear shape and accumulator kind, and one per shape that
+#: keeps the loop in order.
+_v, _x, _u = var("_av"), var("_aX"), var("u")
+CLASSIFIED = {
+    "M.X": (_u, var("A") @ _x + _v, "affine lanes, m=3,"),
+    "(1^T X).c": (None, (ones(_x).T @ _x) * _v + _x, "affine lanes, m=3,"),
+    "X.s": (_u, _x @ (_v.T @ _u) + _u, "affine lanes, m=3,"),
+    "s.X": (_u, (_v.T @ var("A") @ _v) * _x + _v, "affine lanes, m=3,"),
+    "scalar X.s": (var("s"), _x @ (_v.T @ _u) + var("s"), "affine lanes, m=1,"),
+    "row X.M": (_u.T, _x @ var("A") + _v.T, "affine lanes, m=3,"),
+    "row (X 1).c": (_u.T, (_x @ ones(_x.T)) * _v.T + _x, "affine lanes, m=3,"),
+    "apply of X": (_u, apply("mul", _x, _v) + _u, "in order (body not affine)"),
+    "X.X^T.u": (_u, _x @ _x.T @ _u + _v, "in order (body not affine)"),
+    "Sigma reads X": (
+        _u,
+        ssum("_aw", (var("_aw").T @ _x) * (var("A") @ var("_aw"))) + _v,
+        "in order (body not affine)",
+    ),
+    "matrix accumulator": (var("A"), _x @ var("A") + _v @ _v.T, "in order (accumulator not a vector)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFIED))
+def test_loop_modes_are_explained(name):
+    init, step, mode = CLASSIFIED[name]
+    expression = forloop("_av", "_aX", step, init=init)
+    instance = _instance(INTEGER, 3, 0)
+    report = compile_expression(expression, SCHEMA).explain(instance=instance)
+    line = next(line for line in report.splitlines() if " for over " in line)
+    assert mode in line, report
+    assert np.array_equal(evaluate(expression, instance), _tree_walk(expression, instance))
+
+
+def _plu_instance(n):
+    rng = np.random.default_rng(n)
+    schema = Schema({"A": ("alpha", "alpha")})
+    return Instance.from_matrices({"A": rng.integers(-3, 4, (n, n)).astype(float)}, semiring=REAL, schema=schema)
+
+
+@pytest.mark.parametrize(
+    "n, scan", [(16, "affine lanes, m=16, chunk width 16"), (64, "in order (over the lane budget)")]
+)
+def test_plu_pivot_scan_mode(n, scan):
+    instance = _plu_instance(n)
+    plan = compile_expression(plu_upper(), instance.schema)
+    report = plan.explain(instance=instance)
+    loops = report[report.index("loop execution"):].splitlines()[1:]
+    # Four top-level for loops; the elimination loop (r10) holds two Sigmas
+    # and the pivot scan (r12), the only for loop affine in a vector.
+    assert len(loops) == 7, report
+    assert loops[5] == f"    r12 for over alpha: {scan}", report
+    assert sum("affine lanes" in line for line in loops) == (n == 16)
+
+
+def test_explain_reports_the_modes_that_run(monkeypatch):
+    # explain and the executor ask the same function, so the modes the
+    # executor runs are the ones the report lists.
+    instance = _plu_instance(8)
+    plan = compile_expression(plu_upper(), instance.schema)
+    report = plan.explain(instance=instance).split("loop execution")[1]
+    reported = [line.split(": ", 1)[1] for line in report.splitlines()[1:]]
+    ran = []
+    original = ir._loop_mode
+
+    def spy(op, runtime, backend, count):
+        mode = original(op, runtime, backend, count)
+        ran.append(mode.describe())
+        return mode
+
+    monkeypatch.setattr(ir, "_loop_mode", spy)
+    evaluate(plu_upper(), instance)
+    assert set(ran) == set(reported)
+    assert "affine lanes, m=8, chunk width 8" in ran
+
+
+def test_integer_affine_overflow_raises():
+    # Every entry fits int64; M_v X does not: row v of M_v X is
+    # x_v + sum(X) = 5 * 2^61 at n = 4.
+    schema = Schema({"u": ("alpha", "1")})
+    x = var("X")
+    expression = forloop("v", "X", (ones(x).T @ x) * var("v") + x, init=var("u"))
+    instance = Instance.from_matrices({"u": np.full((4, 1), 2**61)}, semiring=INTEGER, schema=schema)
+    report = compile_expression(expression, schema).explain(instance=instance)
+    assert "affine lanes, m=4" in report
     with pytest.raises(SemiringError):
         evaluate(expression, instance)
     with pytest.raises(SemiringError):

@@ -1,7 +1,8 @@
 """Unit tests for degree analysis (Propositions 5.5 / 6.1)."""
 
+import pytest
 
-from repro.matlang.builder import apply, forloop, lit, prod, ssum, var
+from repro.matlang.builder import apply, forloop, had, lit, prod, ssum, var
 from repro.matlang.degree import (
     analyse_degree,
     circuit_degree_for_dimension,
@@ -9,6 +10,8 @@ from repro.matlang.degree import (
 )
 from repro.matlang.schema import Schema
 from repro.stdlib import diagonal_product, four_clique_count, trace, transitive_closure_floyd_warshall
+from repro.stdlib.linalg import csanky_inverse, lu_upper, plu_upper
+from repro.stdlib.order import prev_matrix, s_less
 
 SCHEMA = Schema({"A": ("alpha", "alpha")})
 
@@ -57,6 +60,45 @@ class TestSyntacticAnalysis:
 
     def test_explain_mentions_base_degree_when_polynomial(self):
         assert "degree" in analyse_degree(trace("A")).explain()
+
+
+#: Loops that nest their accumulator super-polynomially, with their exact
+#: degrees at n = 1, 2, 3 (SCHEMA).
+SUPER_POLYNOMIAL = {
+    "inner loop squares X": (
+        forloop("v", "X", forloop("w", "Y", var("X") @ var("X")), init=var("A")),
+        [2, 16, 72],
+    ),
+    "inner loop multiplies by X n times": (
+        forloop("v", "X", forloop("w", "Y", var("Y") @ var("X"), init=var("X")), init=var("A")),
+        [2, 36, 576],
+    ),
+    "Pi of X": (forloop("v", "X", prod("w", var("X")), init=var("A")), [1, 16, 243]),
+    "Pi-o of X": (forloop("v", "X", had("w", var("X")), init=var("A")), [1, 16, 243]),
+}
+
+
+class TestNestedAccumulators:
+    @pytest.mark.parametrize("name", sorted(SUPER_POLYNOMIAL))
+    def test_super_polynomial_nests_are_not_certified(self, name):
+        expression, degrees = SUPER_POLYNOMIAL[name]
+        assert [circuit_degree_for_dimension(expression, SCHEMA, n) for n in (1, 2, 3)] == degrees
+        report = analyse_degree(expression)
+        assert not report.certified_polynomial
+        assert "multiplies the degree" in report.explain()
+
+    def test_inner_sum_in_disguise_over_an_enclosing_accumulator_is_polynomial(self):
+        # for w, Y. Y + X.w.w^T adds n terms of X's degree: no growth.
+        inner = forloop("w", "Y", var("Y") + var("X") @ var("w") @ var("w").T)
+        expression = forloop("v", "X", inner, init=var("A"))
+        assert [circuit_degree_for_dimension(expression, SCHEMA, n) for n in (1, 2, 3)] == [1, 4, 9]
+        assert is_certified_polynomial_degree(expression)
+
+    def test_stdlib_verdicts(self):
+        for expression in (csanky_inverse(), four_clique_count("A"), s_less(), prev_matrix()):
+            assert is_certified_polynomial_degree(expression)
+        for expression in (plu_upper(), lu_upper(), transitive_closure_floyd_warshall("A")):
+            assert not is_certified_polynomial_degree(expression)
 
 
 class TestExactDegreeViaCircuits:
