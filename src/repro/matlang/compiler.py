@@ -4,7 +4,7 @@ This module drives the staged *logical* optimizer — the query-optimizer
 style split of the evaluation pipeline:
 
     annotate  ->  normalize (algebraic canonicalization)
-              ->  lower + fuse (this module + rewrites)
+              ->  lower + fuse (this module + rewrites + contract)
               ->  cost-based matmul ordering (cost)
               ->  execute, with physical backend selection per plan
                   (semiring.backends.select_backend)
@@ -19,7 +19,7 @@ plan by estimated FLOPs.  Each stage can be switched off through
 
 The lowering walk itself turns a
 :class:`~repro.matlang.typecheck.TypedExpression` into a flat
-:class:`~repro.matlang.ir.Plan`, applying three optimizations as it goes:
+:class:`~repro.matlang.ir.Plan`, applying four optimizations as it goes:
 
 * **Common-subexpression elimination** — registers are hash-consed on the
   *structural* identity of the underlying expression (AST nodes are frozen
@@ -36,6 +36,12 @@ The lowering walk itself turns a
   ops (row/column sums, trace, diagonal extraction, iterated powers by
   repeated squaring), eliminating the per-iteration Python loop entirely.
   ``for v, X. X + e`` loops are first recognised as sum quantifiers.
+* **Contraction** — a ``sum`` loop no rule fuses is lowered, with the
+  ``Sigma`` nest around it, as a semiring contraction by variable
+  elimination (:mod:`repro.matlang.contract`), when its body is a product
+  of matrix entries and an output selector.  The order is rules, then the
+  contraction, then a generic ``loop`` op (which :mod:`repro.matlang.ir`
+  runs as lanes where it can).
 
 Compiled plans are cached at module level keyed by ``(expression, schema
 signature, optimizer options)`` — plans reference dimension *symbols*, not
@@ -54,7 +60,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import EvaluationError
-from repro.matlang import rewrites
+from repro.matlang import contract, rewrites
 from repro.matlang.cost import CostModel, reorder_plan
 from repro.matlang.normalize import normalize
 from repro.matlang.ast import (
@@ -131,6 +137,7 @@ class _Frame:
         "bound",
         "captures",
         "pinned",
+        "notes",
     )
 
     def __init__(
@@ -151,6 +158,8 @@ class _Frame:
         self.captures: List[int] = []
         #: Registers kept alive through dead-op pruning (see Plan.pinned).
         self.pinned: List[int] = []
+        #: Plan notes of the lowering walk, one list shared by every frame.
+        self.notes: List[str] = [] if parent is None else parent.notes
 
     def emit(self, opcode: str, inputs: Tuple[int, ...] = (), **params: Any) -> int:
         self.ops.append(PlanOp(opcode=opcode, inputs=tuple(inputs), **params))
@@ -167,7 +176,8 @@ class _Frame:
 
 
 class _RuleContext:
-    """What :mod:`repro.matlang.rewrites` rules see of the compiler."""
+    """What :mod:`repro.matlang.rewrites` rules and
+    :mod:`repro.matlang.contract` see of the compiler."""
 
     __slots__ = ("frame", "iterator", "symbol")
 
@@ -182,6 +192,9 @@ class _RuleContext:
     def emit(self, opcode: str, inputs: Tuple[int, ...] = (), **params: Any) -> int:
         return self.frame.emit(opcode, inputs, **params)
 
+    def child_frame(self, parent: _Frame, iterator: str) -> _Frame:
+        return _Frame(parent, iterator_name=iterator)
+
 
 # ----------------------------------------------------------------------
 # Core lowering
@@ -191,8 +204,9 @@ def lower(typed: TypedExpression, options: Optional[OptimizationOptions] = None)
 
     This runs the staged logical optimizer: normalization of the typed tree
     (canonical matmul association, flattened + ordered addition chains),
-    lowering with fusion/CSE/hoisting, dead-op pruning, and cost-based
-    matmul-chain reordering.  Stages record what fired in ``Plan.notes``.
+    lowering with fusion/contraction/CSE/hoisting, dead-op pruning, and
+    cost-based matmul-chain reordering.  Stages record what fired in
+    ``Plan.notes``.
 
     The dead-op pruning pass removes ops orphaned by speculative rewrite
     rules (the Add-body split of :mod:`repro.matlang.rewrites`), restoring
@@ -207,6 +221,7 @@ def lower(typed: TypedExpression, options: Optional[OptimizationOptions] = None)
         typed, notes = normalize(typed)
     frame = _Frame()
     result = _lower(typed, frame)
+    notes += tuple(dict.fromkeys(frame.notes))
     plan = _prune_plan(Plan(tuple(frame.ops), result, pinned=tuple(frame.pinned)))
     if options.reorder:
         # The active cost profile supplies the symbol weights, so calibrated
@@ -372,6 +387,10 @@ def _lower_quantifier(
     fused = rewrites.try_fuse(kind, body_typed, context)
     if fused is not None:
         return fused
+    if kind == "sum":
+        contracted = contract.lower_sum_nest(typed, body_typed, context)
+        if contracted is not None:
+            return contracted
 
     child = _Frame(frame, iterator_name=expression.iterator)
     body_register = _lower(body_typed, child)

@@ -31,6 +31,11 @@ instance matrices are loaded, so interpreter error parity is preserved
 (reassociation can change *intermediate* magnitudes, which the int64
 kernels' overflow discipline handles exactly as it does for fusion).
 
+The module also schedules the variable elimination of a contracted
+``Sigma`` nest (:func:`elimination_order`, used by
+:mod:`repro.matlang.contract`): a min-fill order over the nest's factor
+graph, read from the plan's structure alone.
+
 Symbol weights come from a :class:`CostModel`: by default every non-scalar
 symbol weighs the flat surrogate dimension (the historical behaviour), but
 a model built from a calibrated :class:`~repro.profile.model.CostProfile`
@@ -43,7 +48,7 @@ costs the per-op backend planner (:mod:`repro.semiring.backends`) consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.matlang.ir import Plan, PlanOp
 from repro.matlang.schema import SCALAR_SYMBOL, MatrixType
@@ -52,6 +57,7 @@ __all__ = [
     "SURROGATE_DIMENSION",
     "CostModel",
     "chain_order",
+    "elimination_order",
     "reorder_plan",
     "symbol_weight",
 ]
@@ -164,6 +170,66 @@ def chain_order(
 ) -> Tuple[int, Dict[Tuple[int, int], int]]:
     """Matrix-chain DP over factor types; returns ``(cost, split table)``."""
     return (model or _DEFAULT_MODEL).chain_order(types)
+
+
+def elimination_order(
+    iterators: Sequence[str],
+    scopes: Iterable[FrozenSet[str]],
+    outputs: FrozenSet[str],
+) -> Tuple[Tuple[str, str], ...]:
+    """Schedule the variable elimination of a ``Sigma`` nest's factor graph.
+
+    ``iterators`` are the nest's iterators in nest order, ``scopes`` the
+    iterator sets of its factors (at most two each) and ``outputs`` the
+    iterators the result keeps.  Returns steps ``("eliminate", v)`` and
+    ``("lane", v)`` for every iterator not in ``outputs``.
+
+    Eliminating ``v`` multiplies the factors that mention it and sums ``v``
+    out, leaving one factor over ``v``'s neighbours; a step is allowed only
+    when that factor spans at most two iterators (one kernel call over
+    matrices).  Among the allowed steps the one adding the fewest new
+    edges between neighbours wins (min-fill), then the one with the fewest
+    neighbours, then the outermost.  When no step is allowed (the
+    four-clique count's complete graph), the iterator with the most
+    neighbours becomes a lane: a ``sum`` loop whose body is the rest of the
+    schedule with that iterator fixed, which removes it from the graph.
+    The schedule depends on the factor graph only.
+    """
+    position = {name: index for index, name in enumerate(iterators)}
+    graph: Dict[str, set] = {name: set() for name in iterators}
+    for scope in scopes:
+        for name in scope:
+            graph[name].update(other for other in scope if other != name)
+
+    def fill(name: str) -> int:
+        neighbours = sorted(graph[name])
+        return sum(
+            1
+            for index, first in enumerate(neighbours)
+            for second in neighbours[index + 1 :]
+            if second not in graph[first]
+        )
+
+    def remove(name: str) -> None:
+        for neighbour in graph.pop(name):
+            graph[neighbour].discard(name)
+
+    steps: List[Tuple[str, str]] = []
+    remaining = [name for name in iterators if name not in outputs]
+    while remaining:
+        allowed = [name for name in remaining if len(graph[name]) <= 2]
+        if allowed:
+            name = min(allowed, key=lambda v: (fill(v), len(graph[v]), position[v]))
+            neighbours = sorted(graph[name])
+            for first in neighbours:
+                graph[first].update(other for other in neighbours if other != first)
+            steps.append(("eliminate", name))
+        else:
+            name = max(remaining, key=lambda v: (len(graph[v]), -position[v]))
+            steps.append(("lane", name))
+        remove(name)
+        remaining.remove(name)
+    return tuple(steps)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ opcode              meaning (``rK`` are register indices)
 ``matmul``          ``r0 . r1``
 ``add``             ``r0 + r1``
 ``hadamard``        ``r0 o r1`` (entrywise product; no core AST node maps
-                    here — reserved for user-registered rewrite rules)
+                    here — the contraction lowering of
+                    :mod:`repro.matlang.contract` multiplies factors with it)
 ``scale``           ``r0 x r1`` with ``r0`` of shape ``1 x 1``
 ``apply``           pointwise function ``name`` applied to the inputs
 ``loop``            iterate the nested ``body`` plan (see below)
@@ -96,9 +97,10 @@ the same partial sums (a fold that leaves int64 raises ``SemiringError``,
 never wraps), and a result never depends on how the range was chunked or
 on how many instances shared the batch.  Single-instance execution is the
 ``B = 1`` case of the same function.  A nested quantifier widens the lanes
-again (the four-clique count at ``n = 8`` runs its innermost body over
-4,096 lanes at once), and the iterator range is split into chunks so that
-lanes x the body's largest per-lane value — read from the resolved types
+again (a depth-4 nest at ``n = 8`` runs its innermost body over 4,096
+lanes at once, where :mod:`repro.matlang.contract` does not lower it),
+and the iterator range is split into chunks so that lanes x the body's
+largest per-lane value — read from the resolved types
 of the body's ops — stays under :data:`LANE_ENTRY_BUDGET`; chunk sizes
 depend on dimensions only, never on values.  Where a chunk would hold a
 single iteration (an ``n x n`` body value at ``n >= 256``), the loop

@@ -62,6 +62,14 @@ never emit plan ops before a match is certain; a failed match falls back to
 a generic ``loop`` op, and any speculatively emitted ops are removed by the
 compiler's dead-op pruning, so failed matches never change the final plan.
 
+The compiler tries these rules first.  A ``sum`` loop no rule fuses goes to
+:mod:`repro.matlang.contract`, which lowers the ``Sigma`` nest around it by
+variable elimination when its body is a product of matrix entries and an
+output selector; only a nest outside that fragment becomes a generic loop.
+Most rows of the table above are special contractions the lowering also
+produces (``tests/test_contract.py`` checks each row with ``SUM_RULES``
+emptied); the rules stay, as they emit the fused ops in fewer plan ops.
+
 The rule lists (``SUM_RULES``, ``PRODUCT_RULES``, ``HADAMARD_RULES``) are
 plain module-level sequences: downstream code can append custom rules, which
 receive ``(body, context)`` and return a plan register or ``None``.  Compiled

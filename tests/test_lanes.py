@@ -295,8 +295,10 @@ def test_lanes_run_on_dense_backends_only():
 
 
 def test_chunk_widths_depend_on_dimensions_only(monkeypatch):
-    # Two instances of one size: same widths, whatever their values.
-    expression = ssum("v", ssum("w", (var("v").T @ var("A") @ var("w")) * (var("v") @ var("w").T)))
+    # Two instances of one size: same widths, whatever their values.  The
+    # apply of a matrix keeps both Sigmas out of the contraction fragment.
+    v, w = var("v"), var("w")
+    expression = ssum("v", ssum("w", (v.T @ var("A") @ w) * apply("mul", v @ w.T, var("B"))))
     widths = []
     original = ir._lane_width
 
@@ -313,10 +315,15 @@ def test_chunk_widths_depend_on_dimensions_only(monkeypatch):
     assert min(widths) < 3  # the budget split the range
 
 
-#: A Sigma loop with n x n body values, and an affine for loop over a
-#: vector with n x 1 body values: ``X <- (v^T u) X + (u^T X)(v^T u) u + v s``.
+#: A Sigma loop with n x n body values (an apply of a matrix keeps it out
+#: of the contraction fragment), and an affine for loop over a vector with
+#: n x 1 body values: ``X <- (v^T u) X + (u^T X)(v^T u) u + v s``.
 BATCH_LOOPS = {
-    "sum": ssum("v", (var("v").T @ var("A") @ var("v")) * (var("A") @ var("v") @ var("v").T @ var("B"))),
+    "sum": ssum(
+        "v",
+        (var("v").T @ var("A") @ var("v"))
+        * apply("mul", var("A") @ var("v") @ var("v").T @ var("B"), var("A")),
+    ),
     "affine": forloop(
         "v",
         "X",
@@ -359,12 +366,18 @@ def test_real_results_do_not_depend_on_the_batch(monkeypatch, budget, loop):
         assert np.array_equal(single, result)
 
 
+#: ``(u^T v) . Pi_p (v^T w)``: the Pi inside keeps a Sigma over this body out
+#: of the contraction fragment, and fuses to a power (``w`` is all ones, so
+#: every lane is ``u_v``).
+LANE_BODY = (var("u").T @ var("v")) * prod("p", var("v").T @ var("w"))
+
+
 def test_integer_lane_fold_follows_iteration_order():
     # Summed in iteration order the lanes 2^62, -2^62, 2^62, -2^62 never
     # leave int64 (as in the tree-walk); any regrouping would overflow.
     schema = Schema({"u": ("alpha", "1"), "w": ("alpha", "1")})
-    v = var("v")
-    expression = ssum("v", (var("u").T @ v) * (v.T @ var("w")))
+    expression = ssum("v", LANE_BODY)
+    assert compile_expression(expression, schema).count_ops("loop") == 1
     instance = Instance.from_matrices(
         {
             "u": np.array([[2**62], [-(2**62)], [2**62], [-(2**62)]]),
@@ -389,8 +402,7 @@ def test_integer_lane_fold_follows_iteration_order():
 def test_integer_lane_fold_overflow_raises(quantifier):
     # Every lane fits int64 on its own; their fold does not.
     schema = Schema({"u": ("alpha", "1"), "w": ("alpha", "1")})
-    v = var("v")
-    expression = quantifier("v", (var("u").T @ v) * (v.T @ var("w")))
+    expression = quantifier("v", LANE_BODY)
     assert compile_expression(expression, schema).count_ops("loop") == 1
     instance = Instance.from_matrices(
         {"u": np.full((4, 1), 2**62), "w": np.ones((4, 1), dtype=np.int64)},
@@ -536,7 +548,7 @@ CLASSIFIED = {
     "X.X^T.u": (_u, _x @ _x.T @ _u + _v, "in order (body not affine)"),
     "Sigma reads X": (
         _u,
-        ssum("_aw", (var("_aw").T @ _x) * (var("A") @ var("_aw"))) + _v,
+        ssum("_aw", (var("_aw").T @ _x) * apply("mul", var("A") @ var("_aw"), var("_aw"))) + _v,
         "in order (body not affine)",
     ),
     "matrix accumulator": (var("A"), _x @ var("A") + _v @ _v.T, "in order (accumulator not a vector)"),
@@ -568,10 +580,11 @@ def test_plu_pivot_scan_mode(n, scan):
     plan = compile_expression(plu_upper(), instance.schema)
     report = plan.explain(instance=instance)
     loops = report[report.index("loop execution"):].splitlines()[1:]
-    # Four top-level for loops; the elimination loop (r10) holds two Sigmas
-    # and the pivot scan (r12), the only for loop affine in a vector.
-    assert len(loops) == 7, report
-    assert loops[5] == f"    r12 for over alpha: {scan}", report
+    # Four top-level for loops; the elimination loop (r10) holds the pivot
+    # scan (r14), the only for loop affine in a vector.  Its two column
+    # Sigmas are contracted (see test_contract.py).
+    assert len(loops) == 5, report
+    assert loops[4] == f"    r14 for over alpha: {scan}", report
     assert sum("affine lanes" in line for line in loops) == (n == 16)
 
 
