@@ -238,9 +238,9 @@ class DenseExecutionBackend(ExecutionBackend):
 
     @property
     def kernels(self):
-        # Resolved through the (version-checked) per-semiring cache on every
-        # access, so re-registering a kernel factory takes effect even for
-        # evaluators that already exist.
+        # Read through the semiring's version-checked cache on every op: a
+        # warm read is one comparison, and re-registering a kernel factory
+        # still reaches backends and evaluators that already exist.
         return self.semiring.kernels
 
     # -- representation --------------------------------------------------
@@ -403,12 +403,10 @@ class BatchedDenseBackend(ExecutionBackend):
         return self.kernels.batch_hadamard(left, right)
 
     def scale(self, factor: np.ndarray, operand: np.ndarray) -> np.ndarray:
-        # Per-instance scalar factors (B, 1, 1): scaling is the entrywise
-        # semiring product against the broadcast factor, so the batched
-        # Hadamard kernel (with its overflow discipline) carries it.
-        return self.kernels.batch_hadamard(
-            np.broadcast_to(factor, operand.shape), operand
-        )
+        # Per-instance scalar factors (B, 1, 1), a shape batch_scale checks.
+        # The primitive kernels broadcast them inside one ufunc call instead
+        # of building a broadcast view for the batched Hadamard product.
+        return self.kernels.batch_scale(factor, operand)
 
     def transpose(self, value: np.ndarray) -> np.ndarray:
         return value.swapaxes(1, 2)

@@ -17,7 +17,7 @@ other semiring falls back to the generic object-dtype scalar fold.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +25,12 @@ from repro.exceptions import SemiringError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.semiring.kernels import KernelBackend
+
+#: Version of the kernel-factory table of :mod:`repro.semiring.kernels`:
+#: :func:`~repro.semiring.kernels.register_kernels` and
+#: :func:`~repro.semiring.kernels.unregister_kernels` bump it, and a
+#: semiring's cached backend is current while its recorded version equals it.
+kernel_registry_version = 0
 
 
 class Semiring(ABC):
@@ -40,10 +46,11 @@ class Semiring(ABC):
     #: Human readable, unique name used by the registry.
     name: str = "abstract"
 
-    #: Lazily selected kernel backend (see the :attr:`kernels` property),
-    #: together with the factory-registry version it was resolved against.
-    _kernels: Optional["KernelBackend"] = None
-    _kernels_version: int = -1
+    #: ``(kernel_registry_version, backend)`` of the last resolution (see
+    #: the :attr:`kernels` property).  One attribute holds both, so a
+    #: concurrent re-registration can never pair an old backend with a new
+    #: version; ``-1`` matches no version, so the first read resolves.
+    _kernel_cache: Tuple[int, Optional["KernelBackend"]] = (-1, None)
 
     @property
     def dtype(self) -> Any:
@@ -152,18 +159,23 @@ class Semiring(ABC):
         """The dense kernel backend for matrices over this semiring.
 
         Selected through :func:`repro.semiring.kernels.kernels_for` and
-        cached; the cache is invalidated automatically when
-        :func:`repro.semiring.kernels.register_kernels` changes the factory
-        table, so re-registering a backend takes effect immediately.
+        cached with the registry version it was resolved against.  A warm
+        read is one attribute load and one comparison, with no import and no
+        further call; :func:`repro.semiring.kernels.register_kernels` bumps
+        the version, so re-registering a backend reaches every semiring (and
+        every execution backend reading it) on its next read.
         """
-        from repro.semiring.kernels import kernels_for, registry_version
+        cache = self._kernel_cache
+        if cache[0] == kernel_registry_version:
+            return cache[1]
+        # Read the version before resolving: a registration racing with
+        # kernels_for leaves an old version behind, which the next read
+        # re-resolves.
+        version = kernel_registry_version
+        from repro.semiring.kernels import kernels_for
 
-        version = registry_version()
-        kernels = self._kernels
-        if kernels is None or self._kernels_version != version:
-            kernels = kernels_for(self)
-            self._kernels = kernels
-            self._kernels_version = version
+        kernels = kernels_for(self)
+        self._kernel_cache = (version, kernels)
         return kernels
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:

@@ -50,8 +50,11 @@ Backends are selected per semiring *name* through a small dispatcher (the
 function-selection idiom of schedula-style libraries): :func:`register_kernels`
 installs a factory, :func:`kernels_for` picks the registered factory and falls
 back to :class:`ObjectFoldKernels` — the universal object-dtype scalar fold —
-when no vectorized backend exists (e.g. the provenance polynomials).  Built-in
-registrations:
+when no vectorized backend exists (e.g. the provenance polynomials).  Each
+semiring caches its backend together with the registry version it was
+resolved against (:attr:`Semiring.kernels`), so a warm lookup costs one
+comparison and a registration reaches every cache on its next read.
+Built-in registrations:
 
 ============  =====================  ==========================================
 semiring      storage                implementation
@@ -81,6 +84,13 @@ batched plan executor (:func:`repro.matlang.ir.execute_plan_batch`):
     Entrywise stack combination.  The entrywise kernels are rank-generic
     (ufuncs and ``np.ndindex`` folds do not care about a leading batch
     axis), so these validate the batch shapes and delegate.
+``batch_scale(factors, stack)``
+    Multiplies each slice by its own carrier scalar from a ``(B, 1, 1)``
+    factor stack, rejecting any other factor shape and a batch-size
+    mismatch rather than broadcasting them.  The generic default is
+    ``batch_hadamard`` against the factors broadcast to the stack's shape;
+    the primitive backends apply their ufunc with numpy broadcasting instead,
+    which skips building that view and gives the same bits.
 ``batch_sum(rows)`` / ``batch_product(rows)``
     Row-wise semiring reductions of a ``(B, k)`` array into a ``(B, 1, 1)``
     stack of scalars (used by the fused ``trace`` / ``diag_product`` ops).
@@ -91,7 +101,9 @@ mutates its operands, so sharing one instance across a batch is free.  The
 the *actual batch* first, falling back to the per-slice 2-D kernels (with
 their per-row refinement and exact-fold safety net) only when the batch-wide
 bound fails — so a single outlier instance cannot silently wrap, and only
-degrades its own batch to the slice loop.
+degrades its own batch to the slice loop.  ``batch_scale`` bounds from the
+factor and stack extrema and, when that fails, defers to ``batch_hadamard``
+on the broadcast factors (entrywise refinement, then the exact fold).
 
 Storage-boundary behavior of the primitive backends: the ``int64`` kernels
 reject values that do not fit at the coercion boundary, and guard every
@@ -114,6 +126,7 @@ from typing import Any, Callable, Dict, Iterable, Optional
 import numpy as np
 
 from repro.exceptions import SemiringError
+from repro.semiring import base as _base
 from repro.semiring.base import Semiring
 
 __all__ = [
@@ -168,6 +181,14 @@ def _check_batch_matmul(left: np.ndarray, right: np.ndarray) -> None:
     if left.shape[2] != right.shape[1]:
         raise SemiringError(
             f"cannot multiply batched matrices of shapes {left.shape} and {right.shape}"
+        )
+
+
+def _check_batch_scale(factors: np.ndarray, stack: np.ndarray) -> None:
+    _check_batch_pair(factors, stack, "scale")
+    if factors.shape[1:] != (1, 1):
+        raise SemiringError(
+            f"batched scale expects (B, 1, 1) factors, got shape {factors.shape}"
         )
 
 
@@ -334,6 +355,16 @@ class KernelBackend:
         _check_batch_pair(left, right, "take Hadamard product of")
         return self.hadamard(left, right)
 
+    def batch_scale(self, factors: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        """Scale each ``(n, m)`` slice of ``stack`` by its ``(B, 1, 1)`` factor.
+
+        Scaling is the entrywise product against the broadcast factor, so the
+        default is the batched Hadamard product, overflow discipline
+        included; the primitive backends broadcast inside their ufunc.
+        """
+        _check_batch_scale(factors, stack)
+        return self.batch_hadamard(np.broadcast_to(factors, stack.shape), stack)
+
     def batch_sum(self, rows: np.ndarray) -> np.ndarray:
         """Semiring sum along the last axis of ``(B, k)`` into ``(B, 1, 1)``."""
         result = np.empty((rows.shape[0], 1, 1), dtype=self.dtype)
@@ -496,6 +527,10 @@ class Float64FieldKernels(KernelBackend):
         # result is bitwise-equal to the per-instance loop.
         return left @ right
 
+    def batch_scale(self, factors: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        _check_batch_scale(factors, stack)
+        return factors * stack
+
     def batch_sum(self, rows: np.ndarray) -> np.ndarray:
         return rows.sum(axis=1).reshape(-1, 1, 1)
 
@@ -555,6 +590,10 @@ class BooleanKernels(KernelBackend):
         _check_batch_matmul(left, right)
         # Stacked boolean matmul keeps the logical or/and accumulation.
         return left @ right
+
+    def batch_scale(self, factors: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        _check_batch_scale(factors, stack)
+        return factors & stack
 
     def batch_sum(self, rows: np.ndarray) -> np.ndarray:
         return rows.any(axis=1).reshape(-1, 1, 1)
@@ -756,6 +795,15 @@ class Int64Kernels(KernelBackend):
             result[index] = self.matmul(left[index], right[index])
         return result
 
+    def batch_scale(self, factors: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        _check_batch_scale(factors, stack)
+        if self._max_abs(factors) * self._max_abs(stack) <= self._INT64_MAX:
+            return factors * stack
+        # The generic path: the batched Hadamard product against the
+        # broadcast factors refines the bound entrywise, then takes the
+        # exact fold, as for any other entrywise product.
+        return super().batch_scale(factors, stack)
+
 
 class TropicalKernels(KernelBackend):
     """``float64`` arrays for min-plus / max-plus.
@@ -901,6 +949,10 @@ class TropicalKernels(KernelBackend):
             result[start:stop] = self._reduce(outer, axis=2)
         return result
 
+    def batch_scale(self, factors: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        _check_batch_scale(factors, stack)
+        return factors + stack
+
     def batch_sum(self, rows: np.ndarray) -> np.ndarray:
         if rows.shape[1] == 0:
             return np.full((rows.shape[0], 1, 1), self._zero, dtype=np.float64)
@@ -919,28 +971,20 @@ KernelFactory = Callable[[Semiring], KernelBackend]
 
 _KERNEL_FACTORIES: Dict[str, KernelFactory] = {}
 
-#: Bumped on every (re-)registration; Semiring.kernels re-resolves its cached
-#: backend when this changes, so overwriting a factory takes effect even for
-#: semiring singletons that already evaluated something.
-_registry_version = 0
-
-
-def registry_version() -> int:
-    """Monotonic counter identifying the current state of the factory table."""
-    return _registry_version
-
 
 def register_kernels(name: str, factory: KernelFactory, overwrite: bool = False) -> None:
     """Install ``factory`` as the kernel backend for semirings named ``name``.
 
-    Re-registering with ``overwrite=True`` takes effect immediately, even for
-    semirings that already cached a backend (the cache is version-checked).
+    Every (re-)registration bumps :data:`repro.semiring.base.kernel_registry_version`,
+    the one version cell every ``Semiring.kernels`` read compares its cached
+    backend against.  So re-registering with ``overwrite=True`` takes effect
+    on the next read, even for semirings, execution backends and evaluators
+    that already cached a backend.
     """
-    global _registry_version
     if name in _KERNEL_FACTORIES and not overwrite:
         raise SemiringError(f"kernels for semiring {name!r} are already registered")
     _KERNEL_FACTORIES[name] = factory
-    _registry_version += 1
+    _base.kernel_registry_version += 1
 
 
 def unregister_kernels(name: str) -> None:
@@ -948,9 +992,8 @@ def unregister_kernels(name: str) -> None:
 
     A no-op when no factory is registered under ``name``.
     """
-    global _registry_version
     if _KERNEL_FACTORIES.pop(name, None) is not None:
-        _registry_version += 1
+        _base.kernel_registry_version += 1
 
 
 def kernels_for(semiring: Semiring) -> KernelBackend:

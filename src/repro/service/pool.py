@@ -1142,12 +1142,11 @@ class WorkerPool:
             if instance.semiring.name not in handle.semirings:
                 # Registered in the parent after this worker forked: ship
                 # the object so the worker's by-name lookup can resolve it.
-                # The lazily cached kernel backend is stripped (the worker
-                # re-resolves it); an unpicklable semiring fails here, at
-                # submit time, instead of as a worker-side name miss.
+                # The cached (version, kernel backend) pair is stripped (the
+                # worker re-resolves it); an unpicklable semiring fails here,
+                # at submit time, instead of as a worker-side name miss.
                 clone = copy.copy(instance.semiring)
-                clone.__dict__.pop("_kernels", None)
-                clone.__dict__.pop("_kernels_version", None)
+                clone.__dict__.pop("_kernel_cache", None)
                 handle.connection.send(("semiring", pickle.dumps(clone)))
                 handle.semirings.add(instance.semiring.name)
             # Sampled at send time: the wire carries seconds-left, which the

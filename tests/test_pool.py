@@ -366,7 +366,7 @@ class TestPooledResults:
                 got = engine.submit(expression, instance).result(30)
                 assert np.array_equal(got, want)
 
-    def test_semiring_registered_after_pool_start_is_shipped(self):
+    def test_semiring_registered_after_pool_start_is_shipped(self, monkeypatch):
         # The workers' fork-inherited registries predate the registration;
         # the parent must ship the semiring object so by-name resolution
         # works instead of failing every pooled request.
@@ -375,6 +375,16 @@ class TestPooledResults:
 
         expression = _workload()
         with Engine(workers=2, memoize=False) as engine:
+            # Patched after the fork: only the parent's shipping is seen.
+            shipped = []
+            real_dumps = pickle.dumps
+
+            def recording_dumps(obj, *args, **kwargs):
+                if isinstance(obj, Semiring):
+                    shipped.append(obj)
+                return real_dumps(obj, *args, **kwargs)
+
+            monkeypatch.setattr(pickle, "dumps", recording_dumps)
             semiring = _LateMaxMin()
             register_semiring(semiring)
             try:
@@ -388,6 +398,11 @@ class TestPooledResults:
                     assert _entrywise_equal(future.result(60), expected)
             finally:
                 _REGISTRY.pop(semiring.name, None)
+        # The parent's semiring has a warm backend cache; the clone shipped
+        # to the workers carries none (each worker resolves its own).
+        assert "_kernel_cache" in vars(semiring)
+        assert shipped and all(clone is not semiring for clone in shipped)
+        assert all("_kernel_cache" not in vars(clone) for clone in shipped)
 
     def test_compile_errors_surface_through_the_future(self):
         instance = _instance_for(REAL, 4, 0)

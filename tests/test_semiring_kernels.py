@@ -6,7 +6,9 @@ carrier matrices — that equivalence is the kernel contract of
 :mod:`repro.semiring.kernels`.
 """
 
+import builtins
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SemiringError
+from repro.matlang.builder import var
+from repro.matlang.evaluator import Evaluator, evaluate, evaluate_batch
+from repro.matlang.instance import Instance
 from repro.semiring import (
     BOOLEAN,
     INTEGER,
@@ -26,6 +31,7 @@ from repro.semiring import (
     available_semirings,
     kernels_for,
 )
+from repro.semiring.backends import BatchedDenseBackend, DenseExecutionBackend
 from repro.semiring.kernels import (
     BooleanKernels,
     Float64FieldKernels,
@@ -34,6 +40,7 @@ from repro.semiring.kernels import (
 )
 from repro.semiring.provenance import PROVENANCE
 from repro.semiring.registry import get_semiring
+from repro.stdlib.linalg import csanky_inverse, plu_upper
 
 SEMIRING_ELEMENTS = {
     "real": st.floats(min_value=-10, max_value=10, allow_nan=False),
@@ -667,3 +674,206 @@ class TestInt64PerRowBound:
         assert np.array_equal(
             np.asarray(INTEGER.matmul(left, right), dtype=object), expected
         )
+
+
+class TestKernelCache:
+    """The per-semiring backend cache: O(1) warm reads, live re-registration."""
+
+    def test_warm_read_makes_no_import_and_no_call(self, monkeypatch):
+        REAL.kernels  # warm the cache
+        imports = []
+        real_import = builtins.__import__
+
+        def counting_import(*args, **kwargs):
+            imports.append(args[0])
+            return real_import(*args, **kwargs)
+
+        getter = Semiring.kernels.fget.__code__
+        getter_calls = []
+        other_calls = []
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                if frame.f_code is getter:
+                    getter_calls.append(1)
+                else:
+                    other_calls.append(frame.f_code.co_qualname)
+
+        monkeypatch.setattr(builtins, "__import__", counting_import)
+        sys.setprofile(profiler)
+        try:
+            for _ in range(1000):
+                REAL.kernels
+        finally:
+            sys.setprofile(None)
+        monkeypatch.undo()
+        assert len(getter_calls) == 1000  # the profiler saw every read
+        assert other_calls == []
+        assert imports == []
+
+    @pytest.mark.parametrize("builder", [plu_upper, csanky_inverse])
+    def test_warm_ops_never_resolve_kernels(self, builder, monkeypatch):
+        import repro.semiring.kernels as kernels_module
+
+        rng = np.random.default_rng(8)
+        instances = [
+            Instance.from_matrices(
+                {"A": rng.integers(-3, 4, (8, 8)).astype(float) + 8 * np.eye(8)},
+                semiring=REAL,
+            )
+            for _ in range(2)
+        ]
+        expression = builder()
+        expected = [evaluate(expression, instance) for instance in instances]
+        expected_batch = evaluate_batch(expression, instances)
+
+        def refuse(semiring):
+            raise AssertionError(f"a warm op resolved kernels for {semiring.name!r}")
+
+        monkeypatch.setattr(kernels_module, "kernels_for", refuse)
+        for instance, want in zip(instances, expected):
+            got = evaluate(expression, instance)
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(evaluate_batch(expression, instances), expected_batch):
+            assert got.tobytes() == want.tobytes()
+
+    def test_reregistration_reaches_existing_backends_and_evaluators(self):
+        from repro.semiring.kernels import register_kernels
+
+        matrix = np.array([[1, 2], [3, 4]])
+        instance = Instance.from_matrices({"A": matrix}, semiring=INTEGER)
+        expression = var("A") @ var("A")
+        dense = DenseExecutionBackend(INTEGER)
+        batched = BatchedDenseBackend(INTEGER, 2)
+        evaluator = Evaluator(instance, backend="dense")
+        stack = np.stack([matrix, matrix]).astype(np.int64)
+
+        def run_all():
+            return (
+                dense.matmul(matrix.astype(np.int64), matrix.astype(np.int64)),
+                batched.matmul(stack, stack),
+                evaluator.run(expression),
+            )
+
+        assert all(result.dtype == np.int64 for result in run_all())
+        register_kernels("integer", ObjectFoldKernels, overwrite=True)
+        try:
+            results = run_all()
+            assert all(result.dtype == object for result in results)
+            square = [[7, 10], [15, 22]]
+            assert all(
+                np.array_equal(result, np.broadcast_to(square, result.shape))
+                for result in results
+            )
+        finally:
+            register_kernels("integer", Int64Kernels, overwrite=True)
+        assert all(result.dtype == np.int64 for result in run_all())
+
+
+#: Carrier values per semiring for the batch_scale checks: the zero, the
+#: one, a third factor (neither, where the carrier has one) and the entries
+#: of the scaled stack.
+SCALE_VALUES = {
+    "real": (0.0, 1.0, 3.25, [-2.5, 0.0, 1.0, 3.25, 1e-3, 7.0]),
+    "boolean": (False, True, True, [False, True, True, False, True, True]),
+    "natural": (0, 1, 9, [0, 1, 2, 9, 4, 3]),
+    "integer": (0, 1, -7, [-7, 0, 1, 5, 12, -3]),
+    "min_plus": (math.inf, 0.0, -1.5, [math.inf, 0.0, -1.5, 2.0, 3.0, math.inf]),
+    "max_plus": (-math.inf, 0.0, 2.0, [-math.inf, 0.0, -1.5, 2.0, 3.0, -math.inf]),
+    "provenance": (0, 1, "p", ["p", "q", 0, 1, 2, "r"]),
+}
+
+
+def _scale_stack(semiring, values, batch=3):
+    row = np.array(values, dtype=object)
+    slices = [np.roll(row, index).reshape(2, 3) for index in range(batch)]
+    return np.stack([semiring.kernels.coerce_matrix(piece) for piece in slices])
+
+
+def _scale_factors(semiring, factors):
+    column = np.array(factors, dtype=object).reshape(-1, 1, 1)
+    return semiring.kernels.coerce_matrix(column)
+
+
+def _assert_identical(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if got.dtype == object:
+        assert all(got[index] == want[index] for index in np.ndindex(got.shape))
+    else:
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+class TestBatchScale:
+    @pytest.mark.parametrize("factor_kind", ["zero", "one", "mixed"])
+    @pytest.mark.parametrize("name", sorted(SCALE_VALUES))
+    def test_matches_hadamard_against_broadcast_factors(self, name, factor_kind):
+        semiring = get_semiring(name)
+        zero, one, other, values = SCALE_VALUES[name]
+        factors = {"zero": [zero] * 3, "one": [one] * 3, "mixed": [zero, one, other]}
+        stack = _scale_stack(semiring, values)
+        factor_stack = _scale_factors(semiring, factors[factor_kind])
+        kernels = semiring.kernels
+        got = kernels.batch_scale(factor_stack, stack)
+        want = kernels.batch_hadamard(np.broadcast_to(factor_stack, stack.shape), stack)
+        _assert_identical(got, want)
+        # And per slice, the 2-D scale of each instance by its own factor.
+        for index in range(stack.shape[0]):
+            single = kernels.scale(factor_stack[index, 0, 0], stack[index])
+            assert semiring.matrices_equal(got[index], single)
+
+    def test_batched_backend_scale_uses_batch_scale(self, monkeypatch):
+        calls = []
+        original = Float64FieldKernels.batch_scale
+
+        def spy(self, factors, stack):
+            calls.append(factors.shape)
+            return original(self, factors, stack)
+
+        monkeypatch.setattr(Float64FieldKernels, "batch_scale", spy)
+        backend = BatchedDenseBackend(REAL, 2)
+        factors = np.array([2.0, -1.0]).reshape(2, 1, 1)
+        stack = np.arange(12.0).reshape(2, 2, 3)
+        result = backend.scale(factors, stack)
+        assert calls == [(2, 1, 1)]
+        assert np.array_equal(result, factors * stack)
+
+    def test_int64_beyond_the_global_bound_is_exact_where_it_fits(self):
+        # max|f| * max|S| = 2**80 fails the global bound, but no entry's
+        # product exceeds 2**41: the entrywise refinement keeps it exact.
+        factors = np.array([2**40, 1], dtype=np.int64).reshape(2, 1, 1)
+        stack = np.array([[[1, 2]], [[2**40, 3]]], dtype=np.int64)
+        kernels = INTEGER.kernels
+        got = kernels.batch_scale(factors, stack)
+        assert got.tolist() == [[[2**40, 2**41]], [[2**40, 3]]]
+        broadcast = np.broadcast_to(factors, stack.shape)
+        _assert_identical(got, kernels.batch_hadamard(broadcast, stack))
+        # A product inside the float bound's margin takes the exact fold.
+        edge = (2**63 - 1) // 3
+        factors = np.array([3, 1], dtype=np.int64).reshape(2, 1, 1)
+        stack = np.array([[[edge]], [[5]]], dtype=np.int64)
+        assert kernels.batch_scale(factors, stack).tolist() == [[[3 * edge]], [[5]]]
+
+    @pytest.mark.parametrize("name", ["integer", "natural"])
+    def test_int64_overflow_raises_like_hadamard(self, name):
+        kernels = get_semiring(name).kernels
+        factors = np.array([2**32, 1], dtype=np.int64).reshape(2, 1, 1)
+        stack = np.array([[[2**32, 1]], [[1, 1]]], dtype=np.int64)
+        with pytest.raises(SemiringError):
+            kernels.batch_hadamard(np.broadcast_to(factors, stack.shape), stack)
+        with pytest.raises(SemiringError):
+            kernels.batch_scale(factors, stack)
+
+    @pytest.mark.parametrize("name", sorted(SCALE_VALUES))
+    def test_rejects_non_scalar_factors_and_batch_mismatch(self, name):
+        semiring = get_semiring(name)
+        _, one, _, values = SCALE_VALUES[name]
+        kernels = semiring.kernels
+        stack = _scale_stack(semiring, values)  # (3, 2, 3)
+        column_factors = _scale_factors(semiring, [one] * 6).reshape(3, 2, 1)
+        with pytest.raises(SemiringError, match="factors"):
+            kernels.batch_scale(column_factors, stack)
+        for count in (1, 2):
+            with pytest.raises(SemiringError, match="batches of sizes"):
+                kernels.batch_scale(_scale_factors(semiring, [one] * count), stack)
+        with pytest.raises(SemiringError):
+            kernels.batch_scale(_scale_factors(semiring, [one]).reshape(1, 1), stack)
