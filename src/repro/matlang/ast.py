@@ -375,18 +375,3 @@ class ProductLoop(_Quantifier):
     Equal to ``for v, X = I. X . e`` where ``I`` is the identity matrix; the
     body must therefore be square (or ``1 x 1``).
     """
-
-
-#: Nodes that belong to the MATLANG core of Section 2 (no recursion).
-MATLANG_CORE_NODES = (
-    Var,
-    Literal,
-    Transpose,
-    OneVector,
-    Diag,
-    TypeHint,
-    MatMul,
-    Add,
-    ScalarMul,
-    Apply,
-)

@@ -6,8 +6,8 @@ style split of the evaluation pipeline:
     annotate  ->  normalize (algebraic canonicalization)
               ->  lower + fuse (this module + rewrites + contract)
               ->  cost-based matmul ordering (cost)
-              ->  execute, with physical backend selection per plan
-                  (semiring.backends.select_backend)
+              ->  execute, with physical backend assignment per op
+                  (semiring.backends.plan_physical)
 
 Normalization (:mod:`repro.matlang.normalize`) re-associates and commutes
 matmul / addition chains into a canonical form, so lowering sees one shape

@@ -82,6 +82,15 @@ times.  All instances of a batch must agree on their dimension assignments
 (and semiring); the harness's :meth:`CompiledWorkload.run_batch` buckets
 mixed sweeps accordingly.
 
+:func:`execute_plan`, :func:`execute_plan_batch` and every lane pass run
+one interpreter, :func:`_run`, over one :class:`_Runtime` holding the
+instances its values carry: one for :func:`execute_plan`, ``B`` for a
+batch.  The interpreter reads a value's per-instance ``(rows, cols)``
+through the backend's ``batch_shape`` and imports instance matrices
+through its ``stack_instance_matrices``, so the backend alone decides
+whether a value is one matrix, a ``(B, rows, cols)`` stack or one
+block-diagonal CSR matrix.
+
 Lane execution
 --------------
 The ``Sigma`` and ``Pi-o`` quantifiers combine their ``n`` iterations with
@@ -90,7 +99,9 @@ unfused ``sum`` or ``hadamard`` loop therefore runs its body **once** for
 all of them: on a ``BatchedDenseBackend`` of ``B * n`` *lanes*, with the
 iterator bound to the stack of all ``n`` canonical vectors (lane
 ``i * B + b`` holds vector ``i`` of instance ``b``) and every capture
-repeated per lane.  The lanes are then folded in iteration order through
+repeated per lane.  The body runs through the same :func:`_run`, on a
+runtime whose instances are the loop's ``B`` repeated once per lane.  The
+lanes are then folded in iteration order through
 the kernels' own ``add_matrices`` / ``hadamard``: the same left fold the
 tree-walk interpreter runs, so the int64 semirings check for overflow at
 the same partial sums (a fold that leaves int64 raises ``SemiringError``,
@@ -179,22 +190,6 @@ __all__ = [
     "execute_plan_batch",
     "serialize_plan",
 ]
-
-#: Opcodes whose semantics replace a whole Python-level loop with a single
-#: backend call (emitted by :mod:`repro.matlang.rewrites`).
-FUSED_OPCODES = frozenset(
-    {
-        "nsum",
-        "row_sums",
-        "col_sums",
-        "trace",
-        "diag_of_diag",
-        "diag_product",
-        "power",
-        "hadamard_power",
-    }
-)
-
 
 @dataclass(frozen=True)
 class PlanOp:
@@ -357,7 +352,7 @@ class Plan:
                     f"  r{register} {op.opcode}: {assigned} [batch: {batched}]"
                 )
             sections.append("loop execution (evaluate):")
-            runtime = _Runtime(backend=physical.backend, instance=instance, functions=None)
+            runtime = _Runtime(physical.backend, (instance,), None)
             loops = _explain_loops(physical.plan, runtime, physical.backend, physical.backends)
             sections.extend(loops or ["  (no loops)"])
         return "\n".join(sections)
@@ -450,36 +445,63 @@ def deserialize_plan(payload: bytes) -> "Plan":
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-@dataclass
 class _Runtime:
-    """Per-execution context shared by a plan and its nested bodies."""
+    """Per-execution context shared by a plan and its nested bodies.
 
-    backend: Any
-    instance: Any
-    functions: Any
-    #: Physical tag -> backend map for per-op dispatch (``None``: every op
-    #: runs on ``backend``, the historical whole-plan behaviour).
-    backends: Any = None
-    #: Optional :class:`~repro.profile.recorder.ExecutionProfiler` fed one
-    #: observation per executed op.
-    profiler: Any = None
+    ``instances`` are the instances every value carries: one for
+    :func:`execute_plan`, ``B`` for :func:`execute_plan_batch`, and the
+    loop's instances once per lane in a lane pass.  Dimension symbols
+    resolve against the first (a batch is validated to agree on every
+    dimension).  A variable load imports one matrix per instance through
+    the backend's ``stack_instance_matrices``, cached so a plan reloading a
+    variable (or repeated loop iterations) imports it once.
+
+    ``stack_cache`` optionally persists the loaded stacks *across* calls
+    (see :class:`StackCache`): repeated sweeps over the same instances — the
+    ``CompiledWorkload.run_batch`` pattern — then re-stack nothing.
+    """
+
+    def __init__(
+        self,
+        backend: Any,
+        instances: Tuple[Any, ...],
+        functions: Any,
+        backends: Any = None,
+        profiler: Any = None,
+        stack_cache: Optional["StackCache"] = None,
+    ) -> None:
+        self.backend = backend
+        self.instances = instances
+        self.functions = functions
+        #: Physical tag -> backend map for per-op dispatch (``None``: every
+        #: op runs on ``backend``, the historical whole-plan behaviour).
+        self.backends = backends
+        #: Optional :class:`~repro.profile.recorder.ExecutionProfiler` fed
+        #: one observation per executed op.
+        self.profiler = profiler
+        self._loads: dict = {}
+        self._stack_cache = stack_cache
+        self._batch_token = (
+            None if stack_cache is None else tuple(id(instance) for instance in instances)
+        )
 
     def dimension(self, symbol: str, context: str) -> int:
         if symbol is None:
             raise EvaluationError(f"plan op for {context} is missing its size symbol")
+        instance = self.instances[0]
         if symbol.startswith("?"):
             # Unconstrained dimension: same square-schema fallback as the
             # interpreted evaluator (see Evaluator._dimension).
             non_scalar = sorted(
-                name for name in self.instance.dimensions if name != "1"
+                name for name in instance.dimensions if name != "1"
             )
             if len(non_scalar) == 1:
-                return self.instance.dimension(non_scalar[0])
+                return instance.dimension(non_scalar[0])
             raise EvaluationError(
                 f"cannot determine the dimension of {context}: the size symbol is "
                 "unconstrained; declare the variable in the schema or add a TypeHint"
             )
-        return self.instance.dimension(symbol)
+        return instance.dimension(symbol)
 
     def shape(self, matrix_type: Optional[MatrixType], context: str) -> Tuple[int, int]:
         if matrix_type is None:
@@ -489,6 +511,27 @@ class _Runtime:
             self.dimension(row_symbol, f"{context} (rows)"),
             self.dimension(col_symbol, f"{context} (columns)"),
         )
+
+    def load(self, name: str, backend: Any) -> Any:
+        # Stacks are representation-specific (dense (B, r, c) arrays vs
+        # block-diagonal CSR), so the cache key carries the backend name: a
+        # mixed plan loading one variable on both representations — or a
+        # profile flip re-running the same instances on the other lane —
+        # must never see the other lane's stack.
+        key = f"{name}@{backend.name}"
+        value = self._loads.get(key)
+        if value is not None:
+            return value
+        if self._stack_cache is not None:
+            value = self._stack_cache.lookup(key, self._batch_token, self.instances)
+        if value is None:
+            value = backend.stack_instance_matrices(
+                [instance.matrix(name) for instance in self.instances]
+            )
+            if self._stack_cache is not None:
+                self._stack_cache.store(key, self._batch_token, self.instances, value)
+        self._loads[key] = value
+        return value
 
 
 def execute_plan(
@@ -509,14 +552,8 @@ def execute_plan(
     op; callers convert through that backend's ``to_dense`` (and copy)
     before handing it to user code.
     """
-    runtime = _Runtime(
-        backend=backend,
-        instance=instance,
-        functions=functions,
-        backends=backends,
-        profiler=profiler,
-    )
-    return _run(plan, runtime, (), None, None, backend)
+    runtime = _Runtime(backend, (instance,), functions, backends, profiler)
+    return _run(plan, runtime, (), None, None)
 
 
 def _run(
@@ -527,6 +564,14 @@ def _run(
     accumulator: Any,
     default: Any = None,
 ) -> Any:
+    """Run ``plan`` (or a loop body) over ``runtime``'s instances.
+
+    ``default`` runs the untagged ops (the runtime's backend unless a loop
+    passes its own); tagged ops dispatch through ``runtime.backends``.  A
+    value carries every instance of the runtime, as the backend represents
+    them, so shapes are read per instance through ``batch_shape``; a
+    ``scale`` factor is one ``1 x 1`` scalar per instance.
+    """
     if default is None:
         default = runtime.backend
     backends = runtime.backends
@@ -556,15 +601,16 @@ def _run(
             append(backend.hadamard(values[op.inputs[0]], values[op.inputs[1]]))
         elif opcode == "scale":
             factor = values[op.inputs[0]]
-            if factor.shape != (1, 1):
+            shape = backend.batch_shape(factor)
+            if shape != (1, 1):
                 raise EvaluationError(
-                    f"scalar multiplication expects a 1x1 left operand, got {factor.shape}"
+                    f"scalar multiplication expects a 1x1 left operand, got {shape}"
                 )
             append(backend.scale(factor, values[op.inputs[1]]))
         elif opcode == "transpose":
             append(backend.transpose(values[op.inputs[0]]))
         elif opcode == "load":
-            append(backend.lift_instance_matrix(runtime.instance.matrix(op.name)))
+            append(runtime.load(op.name, backend))
         elif opcode == "const":
             append(backend.constant(op.value))
         elif opcode == "iterator":
@@ -578,25 +624,24 @@ def _run(
         elif opcode == "capture":
             append(captured[op.value])
         elif opcode == "ones":
-            append(backend.ones(values[op.inputs[0]].shape[0], 1))
+            append(backend.ones(backend.batch_shape(values[op.inputs[0]])[0], 1))
         elif opcode == "ones_type":
             rows, cols = runtime.shape(op.type, "a fused ones matrix")
             append(backend.ones(rows, cols))
         elif opcode == "identity_of":
-            append(backend.identity(values[op.inputs[0]].shape[0]))
+            append(backend.identity(backend.batch_shape(values[op.inputs[0]])[0]))
         elif opcode == "identity_sym":
             append(backend.identity(runtime.dimension(op.symbol, "a fused identity")))
         elif opcode == "diag":
             operand = values[op.inputs[0]]
-            if operand.shape[1] != 1:
-                raise EvaluationError(
-                    f"diag expects a column vector, got shape {operand.shape}"
-                )
+            shape = backend.batch_shape(operand)
+            if shape[1] != 1:
+                raise EvaluationError(f"diag expects a column vector, got shape {shape}")
             append(backend.diag(operand))
         elif opcode == "apply":
             append(_run_apply(op, values, runtime, backend))
         elif opcode == "loop":
-            append(_run_loop(op, values, runtime, backend, _run))
+            append(_run_loop(op, values, runtime, backend))
         elif opcode == "nsum":
             count = runtime.dimension(op.symbol, "a fused quantifier")
             append(backend.nsum(values[op.inputs[0]], count))
@@ -618,7 +663,8 @@ def _run(
             append(backend.hadamard_power(values[op.inputs[0]], count))
         elif opcode in ("to_dense", "to_sparse"):
             # Physical-planner conversion: re-host the value on this op's
-            # target backend through the dense boundary contract.
+            # target backend through the dense boundary contract, once for
+            # all of the runtime's instances.
             if op.name is None:
                 source = default
             else:
@@ -652,14 +698,12 @@ def _run_apply(op: PlanOp, values: List[Any], runtime: _Runtime, backend: Any) -
     return backend.from_dense(result)
 
 
-def _run_loop(
-    op: PlanOp, values: List[Any], runtime: _Runtime, backend: Any, run: Any
-) -> Any:
-    """Run one ``loop`` op; ``run`` is the interpreter of the enclosing plan.
+def _run_loop(op: PlanOp, values: List[Any], runtime: _Runtime, backend: Any) -> Any:
+    """Run one ``loop`` op on ``backend``.
 
     :func:`_loop_mode` decides whether the loop runs as lanes
     (:func:`_run_lanes`); otherwise it iterates in order, running its body
-    through ``run`` once per canonical vector.
+    through :func:`_run` once per canonical vector.
     """
     count = runtime.dimension(op.symbol, "a loop iterator")
     captured = tuple(values[register] for register in op.captures)
@@ -678,7 +722,7 @@ def _run_loop(
     if op.kind == "for":
         for index in range(count):
             iterator = backend.basis_column(count, index)
-            accumulator = run(body, runtime, captured, iterator, accumulator, backend)
+            accumulator = _run(body, runtime, captured, iterator, accumulator, backend)
         return accumulator
 
     if op.kind == "sum":
@@ -692,7 +736,7 @@ def _run_loop(
 
     for index in range(count):
         iterator = backend.basis_column(count, index)
-        value = run(body, runtime, captured, iterator, None, backend)
+        value = _run(body, runtime, captured, iterator, None, backend)
         accumulator = value if accumulator is None else combine(accumulator, value)
     if accumulator is None:  # pragma: no cover - dimensions are always >= 1
         raise EvaluationError("quantifier iterated over an empty dimension")
@@ -804,7 +848,6 @@ def _run_lanes(
     """
     single = not isinstance(backend, BatchedDenseBackend)
     batch = 1 if single else backend.batch_size
-    instances = [runtime.instance] if single else runtime.instances
     kernels = backend.kernels
     basis = kernels.identity(count)
     entries = mode.entries
@@ -831,15 +874,15 @@ def _run_lanes(
         iterator = basis[start : start + copies, :, None]
         if repeats > 1:
             iterator = np.repeat(iterator, repeats, axis=0)
-        lane_runtime = _BatchRuntime(
-            backend=lanes,
-            instances=instances * (copies * per_iteration),
-            functions=runtime.functions,
+        lane_runtime = _Runtime(
+            lanes,
+            runtime.instances * (copies * per_iteration),
+            runtime.functions,
             profiler=runtime.profiler,
         )
         lane_captures = tuple(_per_lane(value, copies * per_iteration) for value in captured)
         if not entries:
-            value = _run_batch(body, lane_runtime, lane_captures, iterator, None, lanes)
+            value = _run(body, lane_runtime, lane_captures, iterator, None)
             # Fold in iteration order, carrying the total across chunks: the
             # tree-walk's left fold, whatever the chunk widths or batch size.
             for index in range(copies):
@@ -847,7 +890,7 @@ def _run_lanes(
                 total = lane if total is None else combine(total, lane)
             continue
         t_lanes, x_lanes = (np.tile(stack, (copies, 1, 1)) for stack in bindings)
-        value = _run_batch(body, lane_runtime, (t_lanes,) + lane_captures, iterator, x_lanes, lanes)
+        value = _run(body, lane_runtime, (t_lanes,) + lane_captures, iterator, x_lanes)
         g = np.ascontiguousarray(value).reshape(copies, per_iteration, batch, entries)
         offsets = g[:, entries].reshape(copies, batch, rows, cols)
         # L_v(e_j) is column j of M_v (X <- M_v X + b_v) for a column
@@ -992,66 +1035,6 @@ def _homogenize(body: Plan) -> Optional[Plan]:
 # ----------------------------------------------------------------------
 # Batched execution
 # ----------------------------------------------------------------------
-class _BatchRuntime(_Runtime):
-    """Batch execution context: one representative instance plus the stack.
-
-    Dimension symbols resolve against the representative instance (the batch
-    is validated to agree on every dimension), while variable loads stack the
-    per-instance matrices into one ``(B, rows, cols)`` value, cached so a
-    plan reloading a variable (or repeated loop iterations) stacks it once.
-
-    ``stack_cache`` optionally persists the stacked inputs *across* calls
-    (see :class:`StackCache`): repeated sweeps over the same instances — the
-    ``CompiledWorkload.run_batch`` pattern — then re-stack nothing.
-    """
-
-    def __init__(
-        self,
-        backend: Any,
-        instances: Any,
-        functions: Any,
-        stack_cache: Optional["StackCache"] = None,
-        backends: Any = None,
-        profiler: Any = None,
-    ) -> None:
-        super().__init__(
-            backend=backend,
-            instance=instances[0],
-            functions=functions,
-            backends=backends,
-            profiler=profiler,
-        )
-        self.instances = instances
-        self._load_cache: dict = {}
-        self._stack_cache = stack_cache
-        self._batch_token = (
-            None if stack_cache is None else tuple(id(instance) for instance in instances)
-        )
-
-    def load(self, name: str, backend: Any = None) -> Any:
-        if backend is None:
-            backend = self.backend
-        # Stacks are representation-specific (dense (B, r, c) arrays vs
-        # block-diagonal CSR), so the cache key carries the backend name: a
-        # mixed plan loading one variable on both representations — or a
-        # profile flip re-running the same instances on the other lane —
-        # must never see the other lane's stack.
-        key = f"{name}@{backend.name}"
-        value = self._load_cache.get(key)
-        if value is not None:
-            return value
-        if self._stack_cache is not None:
-            value = self._stack_cache.lookup(key, self._batch_token, self.instances)
-        if value is None:
-            value = backend.stack_instance_matrices(
-                instance.matrix(name) for instance in self.instances
-            )
-            if self._stack_cache is not None:
-                self._stack_cache.store(key, self._batch_token, self.instances, value)
-        self._load_cache[key] = value
-        return value
-
-
 #: Atomic snapshot of a :class:`StackCache` (see :meth:`StackCache.info`).
 StackCacheInfo = namedtuple("StackCacheInfo", "hits misses size bytes capacity")
 
@@ -1176,7 +1159,7 @@ def execute_plan_batch(
     stacking one result per instance; callers convert through the result
     backend's ``to_dense`` and split along the leading axis.
     """
-    instances = list(instances)
+    instances = tuple(instances)
     if not instances:
         raise EvaluationError("cannot execute a plan over an empty batch")
     if getattr(backend, "batch_size", None) != len(instances):
@@ -1196,148 +1179,5 @@ def execute_plan_batch(
                 f"batched execution requires identical dimension assignments, "
                 f"got {first.dimensions!r} and {instance.dimensions!r}"
             )
-    runtime = _BatchRuntime(
-        backend=backend,
-        instances=instances,
-        functions=functions,
-        stack_cache=stack_cache,
-        backends=backends,
-        profiler=profiler,
-    )
-    return _run_batch(plan, runtime, (), None, None)
-
-
-def _run_batch(
-    plan: Plan,
-    runtime: _BatchRuntime,
-    captured: Tuple[Any, ...],
-    iterator: Any,
-    accumulator: Any,
-    default: Any = None,
-) -> Any:
-    """The batched twin of :func:`_run`.
-
-    Identical op dispatch — including per-op physical-tag dispatch through
-    ``runtime.backends`` and whole-batch conversion ops — with three
-    systematic changes: values carry the batch (as a leading axis on dense
-    stacks, as block-diagonal structure on CSR values; shape inspections go
-    through ``backend.batch_shape``), variable loads stack the whole batch
-    per representation, and ``scale`` factors are batches of per-instance
-    scalars.  A ``for`` / ``Pi`` loop body evaluates once per iteration for
-    the entire batch; ``sum`` / ``hadamard`` loops run as lanes (see the
-    module docstring).
-    """
-    if default is None:
-        default = runtime.backend
-    backends = runtime.backends
-    profiler = runtime.profiler
-    values: List[Any] = []
-    append = values.append
-
-    for op in plan.ops:
-        opcode = op.opcode
-        tag = op.backend
-        if tag is None:
-            backend = default
-        else:
-            backend = None if backends is None else backends.get(tag)
-            if backend is None:
-                raise EvaluationError(
-                    f"plan op {opcode!r} is tagged for backend {tag!r}, which "
-                    "the supplied batched backend map does not provide"
-                )
-        started = time.perf_counter() if profiler is not None else 0.0
-
-        if opcode == "matmul":
-            append(backend.matmul(values[op.inputs[0]], values[op.inputs[1]]))
-        elif opcode == "add":
-            append(backend.add(values[op.inputs[0]], values[op.inputs[1]]))
-        elif opcode == "hadamard":
-            append(backend.hadamard(values[op.inputs[0]], values[op.inputs[1]]))
-        elif opcode == "scale":
-            factor = values[op.inputs[0]]
-            if backend.batch_shape(factor) != (1, 1):
-                raise EvaluationError(
-                    f"scalar multiplication expects 1x1 left operands, got "
-                    f"per-instance shape {backend.batch_shape(factor)}"
-                )
-            append(backend.scale(factor, values[op.inputs[1]]))
-        elif opcode == "transpose":
-            append(backend.transpose(values[op.inputs[0]]))
-        elif opcode == "load":
-            append(runtime.load(op.name, backend))
-        elif opcode == "const":
-            append(backend.constant(op.value))
-        elif opcode == "iterator":
-            if iterator is None:
-                raise EvaluationError("iterator referenced outside of a loop body")
-            append(iterator)
-        elif opcode == "accumulator":
-            if accumulator is None:
-                raise EvaluationError("accumulator referenced outside of a for-loop body")
-            append(accumulator)
-        elif opcode == "capture":
-            append(captured[op.value])
-        elif opcode == "ones":
-            append(backend.ones(backend.batch_shape(values[op.inputs[0]])[0], 1))
-        elif opcode == "ones_type":
-            rows, cols = runtime.shape(op.type, "a fused ones matrix")
-            append(backend.ones(rows, cols))
-        elif opcode == "identity_of":
-            append(backend.identity(backend.batch_shape(values[op.inputs[0]])[0]))
-        elif opcode == "identity_sym":
-            append(backend.identity(runtime.dimension(op.symbol, "a fused identity")))
-        elif opcode == "diag":
-            operand = values[op.inputs[0]]
-            if backend.batch_shape(operand)[1] != 1:
-                raise EvaluationError(
-                    f"diag expects column vectors, got per-instance shape "
-                    f"{backend.batch_shape(operand)}"
-                )
-            append(backend.diag(operand))
-        elif opcode == "apply":
-            append(_run_apply(op, values, runtime, backend))
-        elif opcode == "loop":
-            append(_run_loop(op, values, runtime, backend, _run_batch))
-        elif opcode == "nsum":
-            count = runtime.dimension(op.symbol, "a fused quantifier")
-            append(backend.nsum(values[op.inputs[0]], count))
-        elif opcode == "row_sums":
-            append(backend.row_sums(values[op.inputs[0]]))
-        elif opcode == "col_sums":
-            append(backend.col_sums(values[op.inputs[0]]))
-        elif opcode == "trace":
-            append(backend.trace(values[op.inputs[0]]))
-        elif opcode == "diag_of_diag":
-            append(backend.diag_of_diagonal(values[op.inputs[0]]))
-        elif opcode == "diag_product":
-            append(backend.diag_product(values[op.inputs[0]]))
-        elif opcode == "power":
-            count = runtime.dimension(op.symbol, "a fused matrix-product quantifier")
-            append(backend.power(values[op.inputs[0]], count))
-        elif opcode == "hadamard_power":
-            count = runtime.dimension(op.symbol, "a fused Hadamard quantifier")
-            append(backend.hadamard_power(values[op.inputs[0]], count))
-        elif opcode in ("to_dense", "to_sparse"):
-            # Physical-planner conversion on the whole batch: the source
-            # backend renders its stack dense (``(B, rows, cols)``) and the
-            # target backend lifts it — one crossing per batch, not per
-            # instance.
-            if op.name is None:
-                source = default
-            else:
-                source = None if backends is None else backends.get(op.name)
-                if source is None:
-                    raise EvaluationError(
-                        f"conversion op {opcode!r} names source backend "
-                        f"{op.name!r}, which the batched backend map does "
-                        "not provide"
-                    )
-            append(backend.from_dense(source.to_dense(values[op.inputs[0]])))
-        else:  # pragma: no cover - the compiler only emits known opcodes
-            raise EvaluationError(f"unknown plan opcode {opcode!r}")
-
-        if profiler is not None:
-            profiler.record(op, backend.name, values, time.perf_counter() - started)
-
-    return values[plan.result]
+    runtime = _Runtime(backend, instances, functions, backends, profiler, stack_cache)
+    return _run(plan, runtime, (), None, None)

@@ -79,8 +79,8 @@ def run_calibration(
         for density in densities:
             matrix = _random_boolean(rng, size, density)
             other = _random_boolean(rng, size, density)
-            lifted = dense.lift_instance_matrix(matrix)
-            lifted_other = dense.lift_instance_matrix(other)
+            lifted = dense.from_dense(matrix)
+            lifted_other = dense.from_dense(other)
             dense_mm = _timed(lambda: dense.matmul(lifted, lifted_other), repeats)
             sample("dense.matmul", dense_mm, size**3)
             sample(

@@ -21,14 +21,12 @@ from repro.semiring.backends import (
     ExecutionBackend,
     InstanceStatistics,
     PhysicalPlan,
-    PhysicalSelection,
     SparseBooleanBackend,
     available_backends,
     backend_for,
     instance_statistics,
     plan_physical,
     register_backend,
-    select_backend,
 )
 from repro.semiring.matrix import (
     canonical_vector,
@@ -66,7 +64,6 @@ __all__ = [
     "IntegerRing",
     "KernelBackend",
     "PhysicalPlan",
-    "PhysicalSelection",
     "SparseBooleanBackend",
     "available_backends",
     "backend_for",

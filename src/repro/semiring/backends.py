@@ -34,9 +34,15 @@ can run on
 Backend protocol
 ----------------
 A backend is any object with the attributes / methods of
-:class:`ExecutionBackend`.  Values are opaque to the executor except for
-their ``.shape`` attribute (both numpy arrays and scipy sparse matrices
-provide one).  ``from_dense`` / ``to_dense`` convert at the boundary: plan
+:class:`ExecutionBackend`.  Values are opaque to the executor, which runs
+single instances and batches alike (:func:`repro.matlang.ir.execute_plan`
+and :func:`~repro.matlang.ir.execute_plan_batch` share one interpreter): it
+reads a value's per-instance ``(rows, cols)`` through ``batch_shape`` and
+imports the instance matrices of a variable through
+``stack_instance_matrices``.  :class:`ExecutionBackend` supplies the
+single-instance defaults of both (the value's ``.shape``, and the one
+matrix through ``from_dense``), so a custom backend subclasses it or
+defines both.  ``from_dense`` / ``to_dense`` convert at the boundary: plan
 inputs (instance matrices, pointwise-function operands) enter through
 ``from_dense`` and results leave through ``to_dense``, so equivalence with
 the interpreted tree-walk holds entrywise regardless of the representation.
@@ -70,7 +76,6 @@ except ImportError:  # pragma: no cover - exercised only on scipy-less installs
     _sparse = None
 
 __all__ = [
-    "AUTO_SPARSE_MAX_DENSITY",
     "AUTO_SPARSE_MIN_DIMENSION",
     "BatchedDenseBackend",
     "BatchedSparseBooleanBackend",
@@ -79,7 +84,6 @@ __all__ = [
     "ExecutionBackend",
     "InstanceStatistics",
     "PhysicalPlan",
-    "PhysicalSelection",
     "SparseBooleanBackend",
     "SparseTropicalBackend",
     "available_backends",
@@ -90,8 +94,17 @@ __all__ = [
     "plan_physical",
     "register_backend",
     "resolve_backend",
-    "select_backend",
 ]
+
+
+def _one_per_instance(matrices, batch_size: int) -> list:
+    """``matrices`` as a list, which must hold one matrix per instance."""
+    matrices = list(matrices)
+    if len(matrices) != batch_size:
+        raise SemiringError(
+            f"expected {batch_size} matrices to stack, got {len(matrices)}"
+        )
+    return matrices
 
 
 class ExecutionBackend:
@@ -125,9 +138,18 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
-    def lift_instance_matrix(self, matrix: np.ndarray) -> Any:
-        """Import an instance matrix (already carrier-validated) as a value."""
+    def stack_instance_matrices(self, matrices) -> Any:
+        """Import one carrier-validated matrix per instance as one value.
+
+        A single-instance backend takes exactly one matrix; the batched
+        backends take ``batch_size`` of them.
+        """
+        (matrix,) = _one_per_instance(matrices, 1)
         return self.from_dense(matrix)
+
+    def batch_shape(self, value: Any) -> Tuple[int, int]:
+        """Per-instance ``(rows, cols)`` of one value: its shape here."""
+        return value.shape
 
     # -- constructors ----------------------------------------------------
     def zeros(self, rows: int, cols: int) -> Any:
@@ -170,11 +192,11 @@ class ExecutionBackend:
     # -- fused whole-array operations ------------------------------------
     def row_sums(self, value: Any) -> Any:
         """``Sigma_v (e . v)``: the column vector of row sums."""
-        return self.matmul(value, self.ones(value.shape[1], 1))
+        return self.matmul(value, self.ones(self.batch_shape(value)[1], 1))
 
     def col_sums(self, value: Any) -> Any:
         """``Sigma_v (v^T . e)``: the row vector of column sums."""
-        return self.matmul(self.ones(1, value.shape[0]), value)
+        return self.matmul(self.ones(1, self.batch_shape(value)[0]), value)
 
     def trace(self, value: Any) -> Any:
         """``Sigma_v (v^T . e . v)``: the semiring sum of the diagonal."""
@@ -250,9 +272,10 @@ class DenseExecutionBackend(ExecutionBackend):
     def to_dense(self, value: np.ndarray) -> np.ndarray:
         return value
 
-    def lift_instance_matrix(self, matrix: np.ndarray) -> np.ndarray:
+    def stack_instance_matrices(self, matrices) -> np.ndarray:
         # Instance matrices are carrier-validated at construction; skip the
         # per-load re-validation exactly like the interpreted tree-walk does.
+        (matrix,) = _one_per_instance(matrices, 1)
         return matrix
 
     # -- constructors ----------------------------------------------------
@@ -354,22 +377,13 @@ class BatchedDenseBackend(ExecutionBackend):
     def to_dense(self, value: np.ndarray) -> np.ndarray:
         return value
 
-    def lift_instance_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        # One instance matrix shared by the whole batch (already validated).
-        return self._broadcast(matrix)
-
     def stack_instance_matrices(self, matrices) -> np.ndarray:
         """Stack one carrier-validated matrix per batch instance.
 
         ``np.stack`` rejects shape mismatches, which is the correct error for
         a batch whose instances were bucketed inconsistently.
         """
-        matrices = list(matrices)
-        if len(matrices) != self.batch_size:
-            raise SemiringError(
-                f"expected {self.batch_size} matrices to stack, got {len(matrices)}"
-            )
-        return np.stack(matrices)
+        return np.stack(_one_per_instance(matrices, self.batch_size))
 
     def batch_shape(self, value: np.ndarray) -> Tuple[int, int]:
         """Per-instance ``(rows, cols)`` of one batched value."""
@@ -424,12 +438,6 @@ class BatchedDenseBackend(ExecutionBackend):
         return matrix
 
     # -- fused operations ------------------------------------------------
-    def row_sums(self, value: np.ndarray) -> np.ndarray:
-        return self.matmul(value, self.ones(value.shape[2], 1))
-
-    def col_sums(self, value: np.ndarray) -> np.ndarray:
-        return self.matmul(self.ones(1, value.shape[1]), value)
-
     def _diagonals(self, value: np.ndarray) -> np.ndarray:
         # (B, n) copy: np.diagonal returns a read-only view and the int64 /
         # object reductions index into it per entry.
@@ -464,7 +472,8 @@ class _SparseCSRBackend(ExecutionBackend):
 
     _LIFT_CACHE_CAPACITY = 64
 
-    def lift_instance_matrix(self, matrix: np.ndarray) -> Any:
+    def stack_instance_matrices(self, matrices) -> Any:
+        (matrix,) = _one_per_instance(matrices, 1)
         cached = self._lift_cache.get(id(matrix))
         if cached is not None and cached[0] is matrix:
             self._lift_cache.move_to_end(id(matrix))
@@ -948,12 +957,7 @@ class _BatchedSparseCSRBackend(_SparseCSRBackend):
         ``np.stack`` rejects shape mismatches, which is the correct error for
         a batch whose instances were bucketed inconsistently.
         """
-        matrices = list(matrices)
-        if len(matrices) != self.batch_size:
-            raise SemiringError(
-                f"expected {self.batch_size} matrices to stack, got {len(matrices)}"
-            )
-        return self.from_dense(np.stack(matrices))
+        return self.from_dense(np.stack(_one_per_instance(matrices, self.batch_size)))
 
     # -- constructors (per-block shapes in, block-diagonal values out) ----
     def zeros(self, rows: int, cols: int) -> Any:
@@ -1169,24 +1173,12 @@ class InstanceStatistics:
     densities: Optional[Dict[str, float]] = None
 
 
-@dataclass(frozen=True)
-class PhysicalSelection:
-    """The outcome of physical planning: a backend plus the reasons."""
-
-    backend: ExecutionBackend
-    notes: Tuple[str, ...]
-
-
 #: Semirings with a CSR execution backend (see ``_sparse_backend``).
 SPARSE_CAPABLE_SEMIRINGS = frozenset({"boolean", "min_plus", "max_plus"})
 
 #: Below this largest dimension the dense kernels win on constant factors
 #: regardless of density, so adaptive selection never goes sparse.
 AUTO_SPARSE_MIN_DIMENSION = 64
-
-#: Above this stored-entry fraction the CSR formats stop paying for
-#: themselves on matmul-heavy plans.
-AUTO_SPARSE_MAX_DENSITY = 0.15
 
 #: Plan opcodes whose cost scales with the matrix product — the workloads a
 #: sparse representation can actually accelerate.
@@ -1225,73 +1217,6 @@ def instance_statistics(instance) -> InstanceStatistics:
         entries=int(entries),
         density=density,
         densities=per_matrix if profiled else None,
-    )
-
-
-def select_backend(
-    plan,
-    instance,
-    requested=None,
-    statistics: Optional[InstanceStatistics] = None,
-) -> PhysicalSelection:
-    """Pick the execution backend for running ``plan`` on ``instance``.
-
-    This is the physical-planning stage of the staged optimizer: with no
-    user-supplied backend (``requested`` is ``None`` or ``"auto"``) the
-    choice is driven by instance statistics and the plan's op mix —
-    sparse CSR execution for sparse instances of the boolean / tropical
-    semirings on multiplication-heavy plans, dense kernels otherwise.  A
-    concrete ``requested`` backend (name or instance) is honoured verbatim
-    through :func:`resolve_backend`, including its validation policy.
-
-    The returned notes say what was decided and why; they feed
-    :meth:`repro.matlang.ir.Plan.explain`.
-    """
-    semiring = instance.semiring
-    if requested is not None and requested != "auto":
-        backend = resolve_backend(semiring, requested)
-        label = requested if isinstance(requested, str) else backend.name
-        return PhysicalSelection(
-            backend, (f"backend {label!r} pinned by the caller",)
-        )
-
-    if statistics is None:
-        statistics = instance_statistics(instance)
-
-    def dense(reason: str) -> PhysicalSelection:
-        return PhysicalSelection(
-            backend_for(semiring, "dense"),
-            (f"auto-selected dense: {reason}",),
-        )
-
-    if statistics.semiring not in SPARSE_CAPABLE_SEMIRINGS:
-        return dense(f"no sparse representation for semiring {statistics.semiring!r}")
-    if _sparse is None:
-        return dense("scipy is not installed")
-    if statistics.max_dimension < AUTO_SPARSE_MIN_DIMENSION:
-        return dense(
-            f"largest dimension {statistics.max_dimension} is below the sparse "
-            f"threshold {AUTO_SPARSE_MIN_DIMENSION}"
-        )
-    if statistics.density is None or statistics.density > AUTO_SPARSE_MAX_DENSITY:
-        shown = "unknown" if statistics.density is None else f"{statistics.density:.3f}"
-        return dense(
-            f"instance density {shown} exceeds the sparse ceiling "
-            f"{AUTO_SPARSE_MAX_DENSITY}"
-        )
-    multiplicative = sum(
-        plan.count_ops(opcode) for opcode in _MULTIPLICATIVE_OPCODES
-    )
-    if not multiplicative:
-        return dense("the plan has no multiplication-shaped ops to accelerate")
-    return PhysicalSelection(
-        backend_for(semiring, "sparse"),
-        (
-            f"auto-selected sparse: semiring {statistics.semiring!r}, density "
-            f"{statistics.density:.3f} <= {AUTO_SPARSE_MAX_DENSITY}, largest "
-            f"dimension {statistics.max_dimension} >= {AUTO_SPARSE_MIN_DIMENSION}, "
-            f"{multiplicative} multiplication-shaped op(s)",
-        ),
     )
 
 
@@ -1605,10 +1530,12 @@ def plan_physical(
 ) -> PhysicalPlan:
     """Assign an execution backend to every op of ``plan`` for ``instance``.
 
-    The per-op generalisation of :func:`select_backend`: the same gates
-    decide whether sparse execution is on the table at all (semiring
-    capability, scipy availability, profile-calibrated size and density
-    thresholds), but instead of one whole-plan verdict each top-level op is
+    This is the physical-planning stage of the staged optimizer.  A
+    concrete ``requested`` backend (name or instance) is honoured verbatim
+    through :func:`resolve_backend`.  Otherwise gates decide whether sparse
+    execution is on the table at all (semiring capability, scipy
+    availability, profile-calibrated size and density thresholds, a
+    multiplication-shaped op to accelerate), and each top-level op is
     costed on both representations under the active
     :class:`~repro.profile.model.CostProfile` — with per-register density
     propagation seeded from the instance's per-matrix densities — and

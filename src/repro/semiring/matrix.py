@@ -15,7 +15,6 @@ import numpy as np
 from repro.exceptions import SemiringError
 from repro.semiring.base import Semiring
 from repro.semiring.kernels import storage_fit_error
-from repro.semiring.standard import REAL
 
 
 def zeros(semiring: Semiring, rows: int, cols: int) -> np.ndarray:
@@ -140,13 +139,3 @@ def matrices_equal(
 ) -> bool:
     """Entrywise equality of two matrices over ``semiring``."""
     return semiring.matrices_equal(left, right, tolerance)
-
-
-def to_float(matrix: np.ndarray) -> np.ndarray:
-    """View a matrix over the real field (or naturals/integers) as floats."""
-    return np.asarray(matrix, dtype=np.float64)
-
-
-def default_semiring() -> Semiring:
-    """The default semiring of the library: the real field."""
-    return REAL

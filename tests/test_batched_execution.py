@@ -37,13 +37,14 @@ from repro.matlang.compiler import compile_expression
 from repro.matlang.evaluator import Evaluator, evaluate_batch, run_plan_batch
 from repro.matlang.functions import default_registry
 from repro.matlang.instance import Instance
-from repro.matlang.ir import execute_plan, execute_plan_batch
+from repro.matlang.ir import Plan, PlanOp, execute_plan, execute_plan_batch
 from repro.semiring import BOOLEAN, INTEGER, MAX_PLUS, MIN_PLUS, NATURAL, REAL
 from repro.semiring.backends import (
     BatchedDenseBackend,
     DenseExecutionBackend,
     SparseTropicalBackend,
     backend_for,
+    batched_backends_for,
 )
 from repro.semiring.provenance import PROVENANCE, Polynomial
 from repro.stdlib import shortest_path_matrix, total_sum, trace
@@ -104,6 +105,56 @@ def _entrywise_equal(left, right):
     if left.dtype == object or right.dtype == object:
         return all(left[index] == right[index] for index in np.ndindex(left.shape))
     return bool(np.array_equal(left, right))
+
+
+#: One hand-built plan per guard the interpreter keeps on every entry point,
+#: with the message it raises (``A`` is 3 x 3; the backend map passed along
+#: holds only ``"here"``).
+GUARD_PLANS = {
+    "scale-factor-not-1x1": (
+        Plan((PlanOp("load", name="A"), PlanOp("scale", (0, 0))), 1),
+        "1x1 left operand",
+    ),
+    "diag-of-a-non-column": (
+        Plan((PlanOp("load", name="A"), PlanOp("diag", (0,))), 1),
+        "column vector",
+    ),
+    "iterator-outside-a-loop": (Plan((PlanOp("iterator"),), 0), "iterator referenced"),
+    "accumulator-outside-a-loop": (Plan((PlanOp("accumulator"),), 0), "accumulator referenced"),
+    "tag-missing-from-the-map": (
+        Plan((PlanOp("load", name="A", backend="elsewhere"),), 0),
+        "tagged for backend 'elsewhere'",
+    ),
+    "conversion-source-missing-from-the-map": (
+        Plan(
+            (
+                PlanOp("load", name="A"),
+                PlanOp("to_dense", (0,), name="elsewhere", backend="here"),
+            ),
+            1,
+        ),
+        "source backend 'elsewhere'",
+    ),
+}
+
+#: (semiring, entry point, backend tag, batch size): the dense family on
+#: REAL and BOOLEAN, the CSR family (one block-diagonal matrix per batch) on
+#: BOOLEAN.
+_DENSE_ENTRY_POINTS = [
+    (execute_plan, "dense", None),
+    (execute_plan_batch, "dense", 1),
+    (execute_plan_batch, "dense", 3),
+]
+GUARD_ENTRY_POINTS = [
+    (semiring, *point) for semiring in (REAL, BOOLEAN) for point in _DENSE_ENTRY_POINTS
+] + [
+    pytest.param(
+        BOOLEAN,
+        *point,
+        marks=pytest.mark.skipif(not HAVE_SCIPY, reason="scipy is required for sparse"),
+    )
+    for point in [(execute_plan, "sparse", None), (execute_plan_batch, "sparse", 3)]
+]
 
 
 # ----------------------------------------------------------------------
@@ -250,6 +301,10 @@ class TestBatchedDenseBackend:
             backend.stack_instance_matrices([np.zeros((2, 2))])
         with pytest.raises(ValueError):
             backend.stack_instance_matrices([np.zeros((2, 2)), np.zeros((3, 3))])
+        with pytest.raises(SemiringError):
+            DenseExecutionBackend(REAL).stack_instance_matrices(
+                [np.zeros((2, 2)), np.zeros((2, 2))]
+            )
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +378,26 @@ class TestBatchedPlanEquivalence:
             execute_plan_batch(plan, backend, mixed, default_registry())
         with pytest.raises(EvaluationError):
             execute_plan_batch(plan, backend, [small], default_registry())
+        with pytest.raises(EvaluationError):
+            execute_plan_batch(plan, DenseExecutionBackend(REAL), [small], default_registry())
+
+    @pytest.mark.parametrize("guard", sorted(GUARD_PLANS))
+    @pytest.mark.parametrize(
+        "semiring, entry, tag, batch",
+        GUARD_ENTRY_POINTS,
+        ids=lambda value: getattr(value, "__name__", getattr(value, "name", str(value))),
+    )
+    def test_guards_hold_on_every_entry_point(self, guard, semiring, entry, tag, batch):
+        plan, message = GUARD_PLANS[guard]
+        instances = [_instance_for(semiring, 3, seed) for seed in range(batch or 1)]
+        if entry is execute_plan:
+            backend = backend_for(semiring, tag)
+            arguments = (plan, backend, instances[0], default_registry())
+        else:
+            backend = batched_backends_for(semiring, batch, (tag,))[tag]
+            arguments = (plan, backend, instances, default_registry())
+        with pytest.raises(EvaluationError, match=message):
+            entry(*arguments, backends={"here": backend})
 
 
 # ----------------------------------------------------------------------
@@ -852,6 +927,10 @@ class TestBatchedSparseBackend:
             backend.stack_instance_matrices([np.zeros((2, 2))])
         with pytest.raises(ValueError):
             backend.stack_instance_matrices([np.zeros((2, 2)), np.zeros((3, 3))])
+        with pytest.raises(SemiringError):
+            backend_for(BOOLEAN, "sparse").stack_instance_matrices(
+                [np.zeros((2, 2)), np.zeros((2, 2))]
+            )
         with pytest.raises(SemiringError):
             batched_sparse_backend(BOOLEAN, 0)
         with pytest.raises(SemiringError):

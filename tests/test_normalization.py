@@ -31,11 +31,7 @@ from repro.matlang.instance import Instance
 from repro.matlang.normalize import normalize, structural_key
 from repro.matlang.typecheck import annotate
 from repro.semiring import BOOLEAN, INTEGER, MAX_PLUS, MIN_PLUS, NATURAL, REAL
-from repro.semiring.backends import (
-    AUTO_SPARSE_MIN_DIMENSION,
-    instance_statistics,
-    select_backend,
-)
+from repro.semiring.backends import instance_statistics
 from repro.semiring.provenance import PROVENANCE, Polynomial
 
 try:
@@ -335,35 +331,6 @@ class TestPhysicalPlanning:
     def test_dense_semirings_are_not_profiled(self):
         stats = instance_statistics(_instance_for(REAL))
         assert stats.density is None
-
-    @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy required for sparse")
-    def test_auto_selects_sparse_for_sparse_boolean_reachability(self):
-        instance = self._sparse_instance()
-        plan = compile_expression(var("A") @ var("A"), instance.schema)
-        selection = select_backend(plan, instance)
-        assert selection.backend.name == "sparse"
-
-    def test_auto_stays_dense_below_the_size_threshold(self):
-        instance = self._sparse_instance(size=AUTO_SPARSE_MIN_DIMENSION // 2)
-        plan = compile_expression(var("A") @ var("A"), instance.schema)
-        selection = select_backend(plan, instance)
-        assert selection.backend.name == "dense"
-
-    def test_auto_stays_dense_for_dense_instances(self):
-        instance = Instance.from_matrices(
-            {"A": random_digraph(128, probability=0.5, seed=0)}, semiring=BOOLEAN
-        )
-        plan = compile_expression(var("A") @ var("A"), instance.schema)
-        selection = select_backend(plan, instance)
-        assert selection.backend.name == "dense"
-        assert any("density" in note for note in selection.notes)
-
-    def test_pinned_backend_short_circuits(self):
-        instance = self._sparse_instance()
-        plan = compile_expression(var("A") @ var("A"), instance.schema)
-        selection = select_backend(plan, instance, "dense")
-        assert selection.backend.name == "dense"
-        assert any("pinned" in note for note in selection.notes)
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="scipy required for sparse")
     def test_adaptive_evaluator_matches_pinned_dense(self):

@@ -221,7 +221,7 @@ class TestExports:
 
 class TestOpSpanCollector:
     @staticmethod
-    def _run_batch(instances, collector):
+    def _execute_batch(instances, collector):
         plan = compile_expression(EXPR, instances[0].schema)
         backend = BatchedDenseBackend(instances[0].semiring, len(instances))
         execute_plan_batch(
@@ -231,7 +231,7 @@ class TestOpSpanCollector:
 
     def test_execute_plan_batch_reports_per_op_timings(self):
         collector = OpSpanCollector()
-        plan = self._run_batch([_instance(0), _instance(1)], collector)
+        plan = self._execute_batch([_instance(0), _instance(1)], collector)
         names = [name for name, *_ in collector.spans]
         listing = plan.describe()
         assert names  # one span per executed op
@@ -248,13 +248,13 @@ class TestOpSpanCollector:
                 seen.append((op.opcode, backend_name, seconds))
 
         collector = OpSpanCollector(forward=Recorder())
-        self._run_batch([_instance(0)], collector)
+        self._execute_batch([_instance(0)], collector)
         assert seen
         assert len(seen) == len(collector.spans)
 
     def test_attach_marks_spans_as_kernel_category(self):
         collector = OpSpanCollector()
-        self._run_batch([_instance(0)], collector)
+        self._execute_batch([_instance(0)], collector)
         context = TraceContext(1, "plan")
         collector.attach(context, batch=4)
         assert len(context.spans) == len(collector.spans)

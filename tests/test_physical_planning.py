@@ -48,7 +48,7 @@ from repro.profile import (
 from repro.profile.calibration import main as calibrate_main
 from repro.profile.calibration import run_calibration
 from repro.semiring import BOOLEAN, INTEGER, MAX_PLUS, MIN_PLUS, NATURAL, REAL
-from repro.semiring.backends import backend_for, plan_physical
+from repro.semiring.backends import AUTO_SPARSE_MIN_DIMENSION, backend_for, plan_physical
 from repro.semiring.provenance import PROVENANCE, Polynomial
 from repro.service import CoalescingPolicy, Engine
 from repro.service.batching import QueryFuture, QueryRequest, coalesce
@@ -226,6 +226,7 @@ class TestPerOpAssignment:
         assert physical.plan is plan
         assert not physical.mixed
         assert physical.backend.name == "dense"
+        assert any("density" in note for note in physical.notes)
 
         # Uniformly sparse: same object-identity contract, sparse default.
         sparse = Instance.from_matrices(
@@ -235,6 +236,15 @@ class TestPerOpAssignment:
         assert physical.plan is plan
         assert not physical.mixed
         assert physical.backend.name == "sparse"
+
+        # The same sparse structure below the size threshold stays dense.
+        small = Instance.from_matrices(
+            {"A": _cycles_matrix(AUTO_SPARSE_MIN_DIMENSION // 2)}, semiring=BOOLEAN
+        )
+        physical = plan_physical(plan, small, None)
+        assert physical.plan is plan
+        assert physical.backend.name == "dense"
+        assert any("below the sparse threshold" in note for note in physical.notes)
 
     def test_pinned_backend_short_circuits(self):
         instance = _mixed_instance(BOOLEAN, 128)
