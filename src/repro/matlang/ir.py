@@ -162,11 +162,60 @@ exact semirings are bitwise-equal to the tree-walk whenever nothing
 overflows, REAL agrees within rounding, and ``evaluate``, ``run_batch`` and
 ``Engine`` are bitwise-equal to each other on every semiring and raise on
 the same inputs.
+
+Dimension frame
+---------------
+Many plan values depend on the dimensions alone: the paper's order
+predicates (``e_max``, ``Prev``, ``S_<``, ``S_<=``, the powers of
+``Next``, App. B.1) are ``for`` loops over canonical vectors, and
+constants, identities and all-ones vectors are everywhere.  Such *frame
+values* are functions of the resolved dimensions, the semiring and the
+backend, never of an instance's matrices, so the executor computes each
+once per plan and key and, on every later run, supplies those registers
+and executes only the remaining ops.
+
+*Classification* (:func:`_frame_layout`, one static pass per plan and
+calling context, memoised on the plan).  Never frame values: ``load``,
+``apply`` (its function registry is per call) and an op with a physical
+tag.  Always: ``const``, ``identity_sym``, ``ones_type``, and the
+shape-only ``identity_of`` and ``ones``.  ``iterator`` and ``accumulator``
+are frame values in a lane pass, whose chunk fixes them, and never in an
+in-order body; a ``capture`` is one when the captured register is one in
+the enclosing plan.  A ``loop`` is one when its initialiser and captures
+are and so is its body's result, counting the body's iterator and
+accumulator as frame values; it then runs once per key.  Any other op is
+one when all its inputs are.  A loop's body keeps a frame of its own (one
+for all iterations of an in-order loop, which the first fills), unless
+the loop is a frame value or its lane pass has several chunks: those
+frames would pin every chunk's values where a run holds one at a time.
+A lane pass of one chunk also keeps its bindings (lanes backend,
+iterator and ``(t, X)`` stacks) and the lane copies of its frame
+captures.  A plan where no run can keep a frame takes the plain path
+after one cached check (``Plan._frames`` is ``None``).
+
+*Key.*  The resolved dimension assignment, the semiring and its kernels,
+the backend's class and name, the batch size, the physical tag map and
+:data:`LANE_ENTRY_BUDGET` (loop modes and chunks depend on it).  A body's
+frame hangs off its loop's register in the enclosing frame.  A frame of
+one batch size never serves another: float64 stacked matmul rounds by
+operand layout.
+
+*Bound.*  The frames live on the plan object and die with it; they are
+never serialized, so each pool worker fills its own.  A plan keeps at
+most :data:`FRAME_CAPACITY` keys and :data:`FRAME_BYTE_BUDGET` bytes,
+evicted first-in first-out; a frame over the budget alone is not kept.
+The first run for a key computes every frame value and stores its frame
+only when it finishes, so a frame op that raises stores nothing and
+raises again on the next run.  Lookups take no lock and stores take one,
+so the engine's scheduler and direct callers may run one plan at once.
+Stored ndarrays are read-only.  Results are the plain path's, bit for
+bit: a frame value is the very array the first run computed.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import threading
 import time
 from collections import namedtuple
@@ -271,6 +320,21 @@ class Plan:
         """The distinct types of this plan's op values, in first-use order."""
         return tuple(dict.fromkeys(op.type for op in self.ops if op.type is not None))
 
+    @functools.cached_property
+    def _frame_layouts(self) -> dict:
+        """Memo of :func:`_frame_layout`: calling context -> layout."""
+        return {}
+
+    @functools.cached_property
+    def _frames(self) -> Optional["_FrameCache"]:
+        """This plan's frames by key, or ``None`` when no run keeps one.
+
+        Never serialized (see "Dimension frame" in the module docstring).
+        """
+        # Not memoised: a plan that keeps no frame keeps no layout either.
+        layout = _classify_frame(self, False, ())
+        return _FrameCache(layout) if layout.active else None
+
     def describe(self, indent: str = "") -> str:
         """A readable listing of the plan, for debugging and tests."""
         lines: List[str] = []
@@ -353,7 +417,11 @@ class Plan:
                 )
             sections.append("loop execution (evaluate):")
             runtime = _Runtime(physical.backend, (instance,), None)
-            loops = _explain_loops(physical.plan, runtime, physical.backend, physical.backends)
+            layout = _frame_layout(physical.plan, False, ())
+            sections.append(f"  frame: {_frame_registers(layout)}")
+            loops = _explain_loops(
+                physical.plan, runtime, physical.backend, physical.backends, layout
+            )
             sections.extend(loops or ["  (no loops)"])
         return "\n".join(sections)
 
@@ -553,7 +621,27 @@ def execute_plan(
     before handing it to user code.
     """
     runtime = _Runtime(backend, (instance,), functions, backends, profiler)
-    return _run(plan, runtime, (), None, None)
+    return _execute(plan, runtime)
+
+
+def _execute(plan: Plan, runtime: _Runtime) -> Any:
+    """Run a whole plan over ``runtime``, through its frame for the key.
+
+    A plan no run keeps a frame for takes :func:`_run` directly.  Otherwise
+    the first run for a key fills a new frame and stores it once the run
+    has finished, so a frame op that raises stores nothing.
+    """
+    frames = plan._frames
+    if frames is None:
+        return _run(plan, runtime, (), None, None)
+    key = _frame_key(runtime)
+    frame = frames.get(key)
+    if frame is not None:
+        return _run(plan, runtime, (), None, None, None, frame)
+    frame = _Frame(frames.layout)
+    value = _run(plan, runtime, (), None, None, None, frame)
+    frames.store(key, frame)
+    return value
 
 
 def _run(
@@ -563,6 +651,7 @@ def _run(
     iterator: Any,
     accumulator: Any,
     default: Any = None,
+    frame: Optional["_Frame"] = None,
 ) -> Any:
     """Run ``plan`` (or a loop body) over ``runtime``'s instances.
 
@@ -571,6 +660,17 @@ def _run(
     value carries every instance of the runtime, as the backend represents
     them, so shapes are read per instance through ``batch_shape``; a
     ``scale`` factor is one ``1 x 1`` scalar per instance.
+
+    ``frame`` is the plan's frame for this key, or ``None``.  An empty one
+    is filled from this run's values; a filled one supplies its frame
+    registers, and only the other ops execute.
+
+    ``runtime.profiler`` gets ``record(op, backend_name, values, seconds)``
+    after each executed op.  ``values`` is the register list up to that op:
+    ``values[-1]`` is the op's result, ``len(values) - 1`` its register and
+    ``values[i]`` the value of register ``i``.  Frame registers are filled
+    in place, unrecorded, so on a warm frame the recorded registers need
+    not be contiguous.
     """
     if default is None:
         default = runtime.backend
@@ -578,12 +678,16 @@ def _run(
     profiler = runtime.profiler
     values: List[Any] = []
     append = values.append
+    steps = plan.ops if frame is None or frame.steps is None else frame.steps
 
-    for op in plan.ops:
+    for op in steps:
         opcode = op.opcode
         tag = op.backend
         if tag is None:
             backend = default
+        elif tag is _FrameRun:
+            values.extend(op.values)
+            continue
         else:
             backend = None if backends is None else backends.get(tag)
             if backend is None:
@@ -641,7 +745,7 @@ def _run(
         elif opcode == "apply":
             append(_run_apply(op, values, runtime, backend))
         elif opcode == "loop":
-            append(_run_loop(op, values, runtime, backend))
+            append(_run_loop(op, values, runtime, backend, frame))
         elif opcode == "nsum":
             count = runtime.dimension(op.symbol, "a fused quantifier")
             append(backend.nsum(values[op.inputs[0]], count))
@@ -681,6 +785,8 @@ def _run(
         if profiler is not None:
             profiler.record(op, backend.name, values, time.perf_counter() - started)
 
+    if frame is not None and frame.steps is None:
+        frame.fill(plan, values)
     return values[plan.result]
 
 
@@ -698,12 +804,20 @@ def _run_apply(op: PlanOp, values: List[Any], runtime: _Runtime, backend: Any) -
     return backend.from_dense(result)
 
 
-def _run_loop(op: PlanOp, values: List[Any], runtime: _Runtime, backend: Any) -> Any:
+def _run_loop(
+    op: PlanOp,
+    values: List[Any],
+    runtime: _Runtime,
+    backend: Any,
+    frame: Optional["_Frame"] = None,
+) -> Any:
     """Run one ``loop`` op on ``backend``.
 
     :func:`_loop_mode` decides whether the loop runs as lanes
     (:func:`_run_lanes`); otherwise it iterates in order, running its body
-    through :func:`_run` once per canonical vector.
+    through :func:`_run` once per canonical vector.  ``frame`` is the
+    enclosing plan's; every iteration shares the body's frame, which the
+    first one fills.
     """
     count = runtime.dimension(op.symbol, "a loop iterator")
     captured = tuple(values[register] for register in op.captures)
@@ -716,13 +830,15 @@ def _run_loop(op: PlanOp, values: List[Any], runtime: _Runtime, backend: Any) ->
             rows, cols = runtime.shape(op.accumulator_type, "a loop accumulator")
             accumulator = backend.zeros(rows, cols)
     mode = _loop_mode(op, runtime, backend, count)
+    if frame is not None:
+        frame = frame.body(len(values), op, mode, count)
     if mode.width:
-        return _run_lanes(op, mode, captured, accumulator, count, runtime, backend)
+        return _run_lanes(op, mode, captured, accumulator, count, runtime, backend, frame)
 
     if op.kind == "for":
         for index in range(count):
             iterator = backend.basis_column(count, index)
-            accumulator = _run(body, runtime, captured, iterator, accumulator, backend)
+            accumulator = _run(body, runtime, captured, iterator, accumulator, backend, frame)
         return accumulator
 
     if op.kind == "sum":
@@ -736,7 +852,7 @@ def _run_loop(op: PlanOp, values: List[Any], runtime: _Runtime, backend: Any) ->
 
     for index in range(count):
         iterator = backend.basis_column(count, index)
-        value = _run(body, runtime, captured, iterator, None, backend)
+        value = _run(body, runtime, captured, iterator, None, backend, frame)
         accumulator = value if accumulator is None else combine(accumulator, value)
     if accumulator is None:  # pragma: no cover - dimensions are always >= 1
         raise EvaluationError("quantifier iterated over an empty dimension")
@@ -829,6 +945,7 @@ def _run_lanes(
     count: int,
     runtime: _Runtime,
     backend: Any,
+    frame: Optional["_Frame"] = None,
 ) -> Any:
     """A ``sum`` / ``hadamard`` loop or an affine ``for`` loop as lanes.
 
@@ -845,52 +962,56 @@ def _run_lanes(
     iteration's map ``X <- M_v . X + b_v`` in turn with the kernels' batched
     matmul and add.  Both follow the tree-walk's iteration order, and the
     kernels' overflow checks hold on any stack rank.
+
+    ``frame`` is the body's frame, kept only for a pass of one chunk: it
+    holds the chunk's bindings (lanes backend, iterator and ``(t, X)``
+    stacks), and a filled one also supplies the lane copies of the
+    captures that are frame values.
     """
     single = not isinstance(backend, BatchedDenseBackend)
     batch = 1 if single else backend.batch_size
     kernels = backend.kernels
-    basis = kernels.identity(count)
     entries = mode.entries
+    per_iteration = entries + 1
     if entries:
         body = op.body.affine_body
         rows, cols = accumulator.shape[-2:]
-        # The (t, X) bindings of one iteration, lane j * B + b.
-        t = np.concatenate([kernels.zeros(entries, 1), kernels.ones(1, 1)])
-        x = np.concatenate([kernels.identity(entries), kernels.zeros(1, entries)])
-        bindings = [
-            np.repeat(stack.reshape(-1, *shape), batch, axis=0)
-            for stack, shape in ((t, (1, 1)), (x, (rows, cols)))
-        ]
         total = accumulator[None] if single else accumulator
     else:
         body = op.body
         combine = kernels.add_matrices if op.kind == "sum" else kernels.hadamard
         total = None
-    per_iteration = entries + 1
-    repeats = per_iteration * batch
-    for start in range(0, count, mode.width):
-        copies = min(count, start + mode.width) - start
-        lanes = BatchedDenseBackend(backend.semiring, copies * repeats)
-        iterator = basis[start : start + copies, :, None]
-        if repeats > 1:
-            iterator = np.repeat(iterator, repeats, axis=0)
+    chunks = _lane_chunks(backend, mode, count, batch, accumulator)
+    # A filled frame holds the lane copies of the captures that are frame values.
+    skipped = (False,) * len(captured)
+    if frame is not None:
+        if frame.bindings is None:
+            frame.bind(tuple(chunks))
+        elif frame.steps is not None:
+            skipped = frame.layout.captures[1:] if entries else frame.layout.captures
+        chunks = frame.bindings
+    for copies, lanes, iterator, t_lanes, x_lanes in chunks:
         lane_runtime = _Runtime(
             lanes,
             runtime.instances * (copies * per_iteration),
             runtime.functions,
             profiler=runtime.profiler,
         )
-        lane_captures = tuple(_per_lane(value, copies * per_iteration) for value in captured)
+        lane_captures = tuple(
+            None if skip else _per_lane(value, copies * per_iteration)
+            for value, skip in zip(captured, skipped)
+        )
         if not entries:
-            value = _run(body, lane_runtime, lane_captures, iterator, None)
+            value = _run(body, lane_runtime, lane_captures, iterator, None, None, frame)
             # Fold in iteration order, carrying the total across chunks: the
             # tree-walk's left fold, whatever the chunk widths or batch size.
             for index in range(copies):
                 lane = value[index * batch : (index + 1) * batch]
                 total = lane if total is None else combine(total, lane)
             continue
-        t_lanes, x_lanes = (np.tile(stack, (copies, 1, 1)) for stack in bindings)
-        value = _run(body, lane_runtime, (t_lanes,) + lane_captures, iterator, x_lanes)
+        value = _run(
+            body, lane_runtime, (t_lanes,) + lane_captures, iterator, x_lanes, None, frame
+        )
         g = np.ascontiguousarray(value).reshape(copies, per_iteration, batch, entries)
         offsets = g[:, entries].reshape(copies, batch, rows, cols)
         # L_v(e_j) is column j of M_v (X <- M_v X + b_v) for a column
@@ -907,13 +1028,55 @@ def _run_lanes(
     return total[0] if single else total
 
 
+def _lane_chunks(backend: Any, mode: _LoopMode, count: int, batch: int, accumulator: Any):
+    """Yield ``(copies, lanes, iterator, t, X)`` for each chunk of a lane pass.
+
+    ``lanes`` is the chunk's :class:`BatchedDenseBackend` and ``iterator``
+    its canonical vectors, lane ``(i * p + j) * B + b`` (see
+    :func:`_run_lanes`); ``t`` and ``X`` are the ``(t, X)`` bindings of an
+    affine loop, ``None`` for a quantifier.
+    """
+    kernels = backend.kernels
+    basis = kernels.identity(count)
+    entries = mode.entries
+    if entries:
+        rows, cols = accumulator.shape[-2:]
+        # The (t, X) bindings of one iteration, lane j * B + b.
+        t = np.concatenate([kernels.zeros(entries, 1), kernels.ones(1, 1)])
+        x = np.concatenate([kernels.identity(entries), kernels.zeros(1, entries)])
+        bindings = [
+            np.repeat(stack.reshape(-1, *shape), batch, axis=0)
+            for stack, shape in ((t, (1, 1)), (x, (rows, cols)))
+        ]
+    repeats = (entries + 1) * batch
+    for start in range(0, count, mode.width):
+        copies = min(count, start + mode.width) - start
+        lanes = BatchedDenseBackend(backend.semiring, copies * repeats)
+        iterator = basis[start : start + copies, :, None]
+        if repeats > 1:
+            iterator = np.repeat(iterator, repeats, axis=0)
+        t_lanes = x_lanes = None
+        if entries:
+            t_lanes, x_lanes = (np.tile(stack, (copies, 1, 1)) for stack in bindings)
+        yield copies, lanes, iterator, t_lanes, x_lanes
+
+
 def _explain_loops(
-    plan: Plan, runtime: _Runtime, default: Any, backends: Any, indent: str = "  "
+    plan: Plan,
+    runtime: _Runtime,
+    default: Any,
+    backends: Any,
+    layout: Optional["_FrameLayout"],
+    indent: str = "  ",
 ) -> List[str]:
-    """One line per loop op of ``plan`` and its bodies: the mode it runs in.
+    """One line per loop op of ``plan`` and its bodies: mode and frame.
 
     A body runs on its loop's backend when the loop iterates in order, and
-    on the lanes of the loop's first chunk otherwise.
+    on the lanes of the loop's first chunk otherwise.  ``layout`` is the
+    frame layout ``plan`` runs with, or ``None`` when it keeps no frame.  A
+    loop that is itself a frame value runs once per key.  An affine body's
+    frame is listed in the numbering of the body as written: its
+    homogenized copy has the same frame values, and its scaled summands.
     """
     lines: List[str] = []
     for register, op in enumerate(plan.ops):
@@ -922,12 +1085,23 @@ def _explain_loops(
         backend = default if op.backend is None else backends[op.backend]
         count = runtime.dimension(op.symbol, "a loop iterator")
         mode = _loop_mode(op, runtime, backend, count)
-        lines.append(f"{indent}r{register} {op.kind} over {op.symbol}: {mode.describe()}")
+        inner = None
+        if layout is not None and layout.frame[register]:
+            kept = "frame value"
+        elif layout is None or _body_frame_layout(layout, register, op, mode, count) is None:
+            kept = "body frame: none"
+        else:
+            captures = tuple(layout.frame[source] for source in op.captures)
+            inner = _frame_layout(op.body, bool(mode.width), captures)
+            kept = f"body frame: {_frame_registers(inner)}"
+        lines.append(
+            f"{indent}r{register} {op.kind} over {op.symbol}: {mode.describe()}; {kept}"
+        )
         if mode.width:
             batch = backend.batch_size if isinstance(backend, BatchedDenseBackend) else 1
             lanes = mode.width * (mode.entries + 1) * batch
             backend = BatchedDenseBackend(backend.semiring, lanes)
-        lines.extend(_explain_loops(op.body, runtime, backend, backends, indent + "  "))
+        lines.extend(_explain_loops(op.body, runtime, backend, backends, inner, indent + "  "))
     return lines
 
 
@@ -1030,6 +1204,285 @@ def _homogenize(body: Plan) -> Optional[Plan]:
         pinned=tuple(where[register] for register in body.pinned),
         notes=body.notes,
     )
+
+
+# ----------------------------------------------------------------------
+# Dimension frame
+# ----------------------------------------------------------------------
+#: Keys whose frames one plan keeps; the first stored is evicted first.
+FRAME_CAPACITY = 8
+#: Bytes of frame values one plan keeps over all its keys; a frame larger
+#: on its own is not kept.
+FRAME_BYTE_BUDGET = 32 << 20
+#: Opcodes whose value depends on the dimensions and the semiring alone.
+_FRAME_OPCODES = frozenset({"const", "identity_sym", "ones_type"}) | _SHAPE_OPCODES
+#: Serialises stores into the plans' frame caches (lookups take no lock).
+_FRAME_LOCK = threading.Lock()
+
+
+def _reset_frame_lock() -> None:
+    # A thread of the parent may hold the lock at the instant of a fork.
+    global _FRAME_LOCK
+    _FRAME_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_frame_lock)
+
+
+class _FrameLayout(namedtuple("_FrameLayout", "frame live active captures")):
+    """Which registers of a plan are frame values in one calling context.
+
+    ``frame[r]`` says whether register ``r`` is a frame value; ``live[r]``
+    whether a warm run must supply it (an executed op, a loop or the
+    result reads it).  ``active`` says whether a run keeps a frame at all:
+    the plan has a frame value or a loop whose body may keep one.
+    ``captures`` is the context: per capture index, whether the enclosing
+    plan's register is a frame value.
+    """
+
+    __slots__ = ()
+
+
+def _frame_layout(plan: Plan, lanes: bool, captures: Tuple[bool, ...]) -> _FrameLayout:
+    """The frame layout of ``plan`` in one calling context, memoised on it.
+
+    ``lanes`` is true for the body of a lane pass, whose chunk fixes the
+    iterator and accumulator; ``captures`` as in :class:`_FrameLayout`.
+    """
+    memo = plan._frame_layouts
+    layout = memo.get((lanes, captures))
+    if layout is None:
+        layout = memo[(lanes, captures)] = _classify_frame(plan, lanes, captures)
+    return layout
+
+
+def _classify_frame(plan: Plan, lanes: bool, captures: Tuple[bool, ...]) -> _FrameLayout:
+    """Classify ``plan``'s registers (see "Dimension frame")."""
+    frame: List[bool] = []
+    for op in plan.ops:
+        opcode = op.opcode
+        if op.backend is not None or opcode in ("load", "apply"):
+            flag = False
+        elif opcode in _FRAME_OPCODES:
+            flag = True
+        elif opcode in ("iterator", "accumulator"):
+            flag = lanes
+        elif opcode == "capture":
+            flag = op.value < len(captures) and captures[op.value]
+        else:
+            flag = all(frame[register] for register in op.inputs)
+            if opcode == "loop" and flag:
+                # Run once for the key, the loop binds its iterator and
+                # accumulator to values of the dimensions alone.
+                whole = _frame_layout(op.body, True, (True,) * len(op.captures))
+                flag = whole.frame[op.body.result] and all(
+                    frame[register] for register in op.captures
+                )
+        frame.append(flag)
+    live = [False] * len(frame)
+    live[plan.result] = frame[plan.result]
+    active = any(frame)
+    for register, op in enumerate(plan.ops):
+        if frame[register]:
+            continue
+        for source in op.inputs + op.captures:
+            live[source] = live[source] or frame[source]
+        if op.opcode == "loop" and not active:
+            inner = tuple(frame[source] for source in op.captures)
+            active = any(
+                _body_layout(op, mode, inner).active for mode in _possible_modes(op)
+            )
+    return _FrameLayout(tuple(frame), tuple(live), active, captures)
+
+
+def _possible_modes(op: PlanOp) -> Tuple[_LoopMode, ...]:
+    """Stand-ins for the modes loop ``op`` may run in, whatever the key."""
+    modes = [_LoopMode(0, 0, None)]
+    if op.kind in ("sum", "hadamard"):
+        modes.append(_LoopMode(1, 0, None))
+    elif (
+        op.kind == "for"
+        and op.type is not None
+        and SCALAR_SYMBOL in op.type
+        and op.body.affine_body is not None
+    ):
+        modes.append(_LoopMode(1, 1, None))
+    return tuple(modes)
+
+
+def _body_layout(op: PlanOp, mode: _LoopMode, captures: Tuple[bool, ...]) -> _FrameLayout:
+    """The layout of the plan loop ``op`` runs for its body in ``mode``."""
+    if mode.entries:
+        return _frame_layout(op.body.affine_body, True, (True,) + captures)
+    return _frame_layout(op.body, bool(mode.width), captures)
+
+
+def _body_frame_layout(
+    layout: _FrameLayout, register: int, op: PlanOp, mode: _LoopMode, count: int
+) -> Optional[_FrameLayout]:
+    """The layout of the frame loop ``op`` at ``register`` keeps for its body.
+
+    ``None`` when it keeps none: the loop is itself a frame value (it runs
+    once per key), its lane pass has several chunks (their frames would
+    pin every chunk's values where a run holds one at a time), or the body
+    has no frame value and no loop that keeps a frame.
+    """
+    if layout.frame[register] or 0 < mode.width < count:
+        return None
+    inner = _body_layout(op, mode, tuple(layout.frame[source] for source in op.captures))
+    return inner if inner.active else None
+
+
+def _frame_registers(layout: Optional[_FrameLayout]) -> str:
+    registers = [] if layout is None else [r for r, flag in enumerate(layout.frame) if flag]
+    return ", ".join(f"r{register}" for register in registers) or "none"
+
+
+def _frame_key(runtime: _Runtime) -> Tuple:
+    """The key of a top-level frame: what its values may depend on."""
+    backend = runtime.backend
+    semiring = backend.semiring
+    backends = runtime.backends
+    return (
+        frozenset(runtime.instances[0].dimensions.items()),
+        semiring,
+        semiring.kernels,
+        type(backend),
+        backend.name,
+        len(runtime.instances),
+        None
+        if backends is None
+        else frozenset((tag, type(other), other.name) for tag, other in backends.items()),
+        LANE_ENTRY_BUDGET,
+    )
+
+
+class _FrameRun:
+    """A warm schedule's stand-in for a run of frame registers: their values.
+
+    Its ``backend`` tag is the class itself, which no backend map holds,
+    so :func:`_run` tests for it only on its path for tagged ops.
+    """
+
+    __slots__ = ("values",)
+    opcode = "frame"
+
+    def __init__(self, values: List[Any]) -> None:
+        self.values = tuple(values)
+
+
+_FrameRun.backend = _FrameRun
+
+
+def _read_only(value: Any) -> Any:
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
+
+
+class _Frame:
+    """The frame of one plan or loop body for one key.
+
+    ``steps`` is ``None`` until a run fills it; then it is the plan's ops
+    with each run of frame registers replaced by a :class:`_FrameRun`.
+    ``bodies`` holds the frames of the loops' bodies by register, and
+    ``bindings`` a one-chunk lane pass's chunk (see :func:`_lane_chunks`).
+    """
+
+    __slots__ = ("layout", "steps", "bodies", "bindings")
+
+    def __init__(self, layout: _FrameLayout) -> None:
+        self.layout = layout
+        self.steps: Optional[Tuple[Any, ...]] = None
+        self.bodies: dict = {}
+        self.bindings: Optional[Tuple[Any, ...]] = None
+
+    def body(self, register: int, op: PlanOp, mode: _LoopMode, count: int) -> Optional["_Frame"]:
+        """The frame of the body of loop ``op`` at ``register``, made on first use."""
+        try:
+            return self.bodies[register]
+        except KeyError:
+            inner = _body_frame_layout(self.layout, register, op, mode, count)
+            body = self.bodies[register] = None if inner is None else _Frame(inner)
+            return body
+
+    def bind(self, chunks: Tuple[Any, ...]) -> None:
+        """Keep a lane pass's chunk bindings, read-only."""
+        for chunk in chunks:
+            for value in chunk[2:]:
+                _read_only(value)
+        self.bindings = chunks
+
+    def fill(self, plan: Plan, values: List[Any]) -> None:
+        """Keep the frame values of a finished run of ``plan``."""
+        frame, live = self.layout.frame, self.layout.live
+        steps: List[Any] = []
+        run: List[Any] = []
+        for register, op in enumerate(plan.ops):
+            if frame[register]:
+                run.append(_read_only(values[register]) if live[register] else None)
+                continue
+            if run:
+                steps.append(_FrameRun(run))
+                run = []
+            steps.append(op)
+        if run:
+            steps.append(_FrameRun(run))
+        self.steps = tuple(steps)
+
+    def retained(self):
+        """Every value this frame and its bodies' frames hold."""
+        for step in self.steps or ():
+            if type(step) is _FrameRun:
+                yield from step.values
+        for chunk in self.bindings or ():
+            yield from chunk[2:]
+        for body in self.bodies.values():
+            if body is not None:
+                yield from body.retained()
+
+
+def _retained_bytes(values) -> int:
+    """Bytes of the distinct buffers behind ``values`` (views share theirs)."""
+    buffers = {}
+    for value in values:
+        while isinstance(getattr(value, "base", None), np.ndarray):
+            value = value.base
+        if value is not None:
+            buffers[id(value)] = value
+    return sum(StackCache._size_of(value) for value in buffers.values())
+
+
+class _FrameCache:
+    """A plan's frames by key (see "Dimension frame").
+
+    At most :data:`FRAME_CAPACITY` keys and :data:`FRAME_BYTE_BUDGET`
+    bytes, evicted first-in first-out.  Lookups read the dict without a
+    lock; stores and evictions take :data:`_FRAME_LOCK`.
+    """
+
+    __slots__ = ("layout", "frames")
+
+    def __init__(self, layout: _FrameLayout) -> None:
+        self.layout = layout
+        #: key -> (frame, retained bytes), oldest first.
+        self.frames: dict = {}
+
+    def get(self, key: Tuple) -> Optional[_Frame]:
+        entry = self.frames.get(key)
+        return None if entry is None else entry[0]
+
+    def store(self, key: Tuple, frame: _Frame) -> None:
+        size = _retained_bytes(frame.retained())
+        if size > FRAME_BYTE_BUDGET:
+            return
+        with _FRAME_LOCK:
+            frames = self.frames
+            frames.setdefault(key, (frame, size))
+            while len(frames) > FRAME_CAPACITY or (
+                sum(kept for _, kept in frames.values()) > FRAME_BYTE_BUDGET
+            ):
+                del frames[next(iter(frames))]
 
 
 # ----------------------------------------------------------------------
@@ -1180,4 +1633,4 @@ def execute_plan_batch(
                 f"got {first.dimensions!r} and {instance.dimensions!r}"
             )
     runtime = _Runtime(backend, instances, functions, backends, profiler, stack_cache)
-    return _run(plan, runtime, (), None, None)
+    return _execute(plan, runtime)

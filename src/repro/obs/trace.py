@@ -195,6 +195,13 @@ class OpSpanCollector:
         self.forward = forward
 
     def record(self, op: Any, backend_name: str, values: List[Any], seconds: float) -> None:
+        """Record one executed op as span ``r<register> <opcode>``.
+
+        ``values`` is the executor's register list up to the op (the
+        contract of :func:`repro.matlang.ir._run`): ``values[-1]`` is the
+        op's result and ``len(values) - 1`` its register.  Registers a
+        dimension frame supplies are not executed, so get no span.
+        """
         if self.forward is not None:
             self.forward.record(op, backend_name, values, seconds)
         ended = time.perf_counter()

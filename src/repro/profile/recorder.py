@@ -90,7 +90,14 @@ class ExecutionProfiler:
 
     # -- sampling (called from the executor's hot loop) -------------------
     def record(self, op: Any, backend_name: str, values: List[Any], seconds: float) -> None:
-        """Sample one executed op; ``values[-1]`` is its freshly appended result."""
+        """Sample one executed op.
+
+        The executor's hook contract (see :func:`repro.matlang.ir._run`):
+        ``values`` is the register list up to the op, so ``values[-1]`` is
+        its freshly appended result, ``len(values) - 1`` its register and
+        ``values[i]`` the value of register ``i``.  Registers a dimension
+        frame supplies are never recorded.
+        """
         opcode = op.opcode
         if opcode in ("to_dense", "to_sparse"):
             key = "convert"

@@ -26,6 +26,7 @@ re-associates its REAL sums, so on REAL affine programs are compared
 bitwise across paths at one budget.)
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -36,14 +37,16 @@ from hypothesis import strategies as st
 from repro.exceptions import SemiringError
 from repro.experiments.harness import CompiledWorkload
 from repro.matlang import ir
-from repro.matlang.builder import apply, forloop, had, lit, ones, prod, ssum, var
+from repro.matlang.builder import apply, diag, forloop, had, hint, lit, ones, prod, ssum, var
 from repro.matlang.compiler import compile_expression
 from repro.matlang.evaluator import Evaluator, evaluate
+from repro.matlang.functions import default_registry
 from repro.matlang.instance import Instance
 from repro.matlang.schema import Schema
 from repro.semiring import BOOLEAN, INTEGER, MAX_PLUS, MIN_PLUS, NATURAL, REAL
-from repro.semiring.backends import BatchedDenseBackend, backend_for
+from repro.semiring.backends import BatchedDenseBackend, backend_for, batched_sparse_backend
 from repro.semiring.provenance import PROVENANCE, Polynomial
+from repro.service import Engine
 from repro.stdlib.linalg import plu_upper
 
 try:
@@ -106,19 +109,54 @@ def programs(draw, depth=4):
             return body, bound
         return (var(iterator).T @ var("u")) * body, bound
 
+    def dimension_only(kind, level, scope):
+        """A term whose value depends on the dimensions alone: an order
+        predicate's ``for`` loop over canonical vectors, ``ones`` or
+        ``diag(ones(.))`` of a body value, or a constant."""
+        w, y = next(fresh), next(fresh)
+        e_max = hint(forloop(w, y, var(w)), "alpha", "1")
+        shape = draw(st.sampled_from({
+            "M": ["last", "identity loop", "shift loop", "identity of"],
+            "V": ["e_max", "ones loop", "ones of"],
+            "S": ["is_max", "count", "two"],
+        }[kind]))
+        if shape in ("identity of", "ones of", "count"):
+            operand, _ = build(draw(st.sampled_from(["M", "V"])), level - 1, scope)
+            if shape == "identity of":
+                return diag(ones(operand)), 1.0
+            if shape == "ones of":
+                return ones(operand), 1.0
+            return ones(operand).T @ ones(operand), float(n)
+        if shape == "two":
+            return lit(2), 2.0
+        if shape == "e_max":
+            return e_max, 1.0
+        if shape == "ones loop":
+            return hint(forloop(w, y, var(y) + var(w)), "alpha", "1"), 1.0
+        if shape == "is_max":
+            return var(draw(st.sampled_from(["u", *scope["V"]]))).T @ e_max, 1.0
+        if shape == "last":
+            return e_max @ e_max.T, 1.0
+        outer = var(w) @ var(w).T
+        step = var(y) + outer if shape == "identity loop" else var(y) @ outer + outer
+        return hint(forloop(w, y, step), "alpha", "alpha"), 1.0
+
     def build(kind, level, scope):
         if level == 0:
             return leaf(kind, scope)
         # Quantifiers are listed twice: they are what this suite exercises.
         options = {
             "M": ["leaf", "add", "matmul", "transpose", "scale", "apply", "outer",
-                  "sum", "had", "for", "prod", "sum", "had"],
-            "V": ["leaf", "add", "matvec", "scale", "apply", "sum", "had", "sum", "had"],
-            "S": ["leaf", "add", "dot", "quad", "mul", "sum", "had", "sum1", "sum", "had"],
+                  "sum", "had", "for", "prod", "sum", "had", "frame"],
+            "V": ["leaf", "add", "matvec", "scale", "apply", "sum", "had", "sum", "had", "frame"],
+            "S": ["leaf", "add", "dot", "quad", "mul", "sum", "had", "sum1", "sum", "had",
+                  "frame"],
         }[kind]
         choice = draw(st.sampled_from(options))
         if choice == "leaf":
             return leaf(kind, scope)
+        if choice == "frame":
+            return dimension_only(kind, level, scope)
         if choice == "add":
             (left, lb), (right, rb) = build(kind, level - 1, scope), build(kind, level - 1, scope)
             node = (left + right, lb + rb)
@@ -260,6 +298,61 @@ def _check_all_paths(semiring, program, n, seed, budget, across_budgets=True):
 )
 def test_lanes_agree_with_the_tree_walk(semiring, program, n, seed, budget):
     _check_all_paths(semiring, program, n, seed, budget)
+
+
+# ----------------------------------------------------------------------
+# Dimension frames
+# ----------------------------------------------------------------------
+#: ``(n, seed offset)`` of the runs of one plan: it alternates between two
+#: sizes, and each size meets a second instance on a filled frame.
+FRAME_RUNS = ((2, 0), (3, 0), (2, 1), (3, 1), (2, 0))
+
+
+@pytest.fixture(scope="module")
+def engine():
+    with Engine() as engine:
+        yield engine
+
+
+def _block_diagonal(expression, instances):
+    backend = batched_sparse_backend(instances[0].semiring, len(instances))
+    plan = compile_expression(expression, SCHEMA)
+    value = ir.execute_plan_batch(plan, backend, instances, default_registry())
+    return list(backend.to_dense(value))
+
+
+@pytest.mark.parametrize("semiring", EXACT + [REAL], ids=lambda s: s.name)
+@settings(max_examples=20, deadline=None)
+@given(program=programs(), seed=st.integers(0, 2**16))
+def test_frames_agree_across_sizes_and_instances(engine, semiring, program, seed):
+    # Frame values are computed once per plan and key, and the plans come
+    # from the plan cache, so every run after a size's first one reads a
+    # filled frame: a frame reused at the wrong size, or one that holds an
+    # instance's matrix, shows up as a disagreement here.
+    expression, bound = program
+    workload = CompiledWorkload(expression, SCHEMA)
+    for n, offset in FRAME_RUNS:
+        instances = [_instance(semiring, n, seed + offset + index) for index in range(3)]
+        singles = [evaluate(expression, instance) for instance in instances]
+        reference = _tree_walk(expression, instances[0])
+        assert _agree(semiring, singles[0], reference, bound), (n, expression)
+        paths = {
+            "run_batch B=1": [workload.run_batch([instance])[0] for instance in instances],
+            "run_batch B=3": workload.run_batch(instances),
+            "engine": [
+                future.result(30)
+                for future in [engine.submit(expression, instance) for instance in instances]
+            ],
+        }
+        if HAVE_SCIPY and semiring in (BOOLEAN, MIN_PLUS, MAX_PLUS):
+            paths["sparse"] = [
+                Evaluator(instance, backend="sparse").run(expression) for instance in instances
+            ]
+            paths["block-diagonal"] = _block_diagonal(expression, instances)
+        for path, results in paths.items():
+            for result, single in zip(results, singles):
+                assert result.shape == single.shape, (path, n, expression)
+                assert np.array_equal(result, single), (path, n, expression)
 
 
 @settings(max_examples=15, deadline=None)
@@ -579,22 +672,27 @@ def test_plu_pivot_scan_mode(n, scan):
     instance = _plu_instance(n)
     plan = compile_expression(plu_upper(), instance.schema)
     report = plan.explain(instance=instance)
-    loops = report[report.index("loop execution"):].splitlines()[1:]
+    # The section opens with the top-level frame, then one line per loop.
+    loops = report[report.index("loop execution"):].splitlines()[2:]
     # Four top-level for loops; the elimination loop (r10) holds the pivot
     # scan (r14), the only for loop affine in a vector.  Its two column
     # Sigmas are contracted (see test_contract.py).
     assert len(loops) == 5, report
-    assert loops[4] == f"    r14 for over alpha: {scan}", report
+    assert loops[4].startswith(f"    r14 for over alpha: {scan}; "), report
     assert sum("affine lanes" in line for line in loops) == (n == 16)
 
 
 def test_explain_reports_the_modes_that_run(monkeypatch):
     # explain and the executor ask the same function, so the modes the
-    # executor runs are the ones the report lists.
+    # executor runs are the ones the report lists.  A loop that is a frame
+    # value runs on a key's first execution only, so the plan is a fresh
+    # copy (its frames empty) and runs twice.
     instance = _plu_instance(8)
-    plan = compile_expression(plu_upper(), instance.schema)
+    plan = dataclasses.replace(compile_expression(plu_upper(), instance.schema))
     report = plan.explain(instance=instance).split("loop execution")[1]
-    reported = [line.split(": ", 1)[1] for line in report.splitlines()[1:]]
+    lines = [line.split(": ", 1)[1] for line in report.splitlines()[2:]]
+    reported = [line.split("; ")[0] for line in lines]
+    warm = [line.split("; ")[0] for line in lines if not line.endswith("; frame value")]
     ran = []
     original = ir._loop_mode
 
@@ -604,9 +702,15 @@ def test_explain_reports_the_modes_that_run(monkeypatch):
         return mode
 
     monkeypatch.setattr(ir, "_loop_mode", spy)
-    evaluate(plu_upper(), instance)
-    assert set(ran) == set(reported)
+    backend = backend_for(REAL, "dense")
+    expected = evaluate(plu_upper(), instance)
+    for modes in (reported, warm):
+        ran.clear()
+        result = ir.execute_plan(plan, backend, instance, default_registry())
+        assert np.array_equal(result, expected)
+        assert set(ran) == set(modes)
     assert "affine lanes, m=8, chunk width 8" in ran
+    assert set(warm) < set(reported)
 
 
 def test_integer_affine_overflow_raises():

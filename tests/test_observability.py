@@ -30,7 +30,7 @@ from dataclasses import fields as dataclass_fields
 import numpy as np
 import pytest
 
-from repro.matlang.builder import ssum, var
+from repro.matlang.builder import diag, lit, ones, ssum, var
 from repro.matlang.compiler import compile_expression
 from repro.matlang.functions import default_registry
 from repro.matlang.instance import Instance
@@ -239,6 +239,38 @@ class TestOpSpanCollector:
             register, opcode = name.split(" ", 1)
             assert f"{register} = {opcode}(" in listing
         assert all(seconds >= 0 for *_, seconds in collector.spans)
+
+        # On a warm dimension frame the executor supplies the frame registers
+        # (the identity and the constant) instead of running them: the spans
+        # name only the other registers, which are not contiguous, and each
+        # hook call still sees its op's result last, at its own register.
+        instances = [_instance(2), _instance(3)]
+        plan = compile_expression(diag(ones(A)) @ V @ V.T + lit(2) * A, instances[0].schema)
+        backend = BatchedDenseBackend(REAL, len(instances))
+        execute_plan_batch(plan, backend, instances, default_registry())
+        seen = []
+
+        class Recorder:
+            def record(self, op, backend_name, values, seconds):
+                operands = [values[register] for register in op.inputs]
+                seen.append((len(values) - 1, op, values[-1], operands))
+
+        collector = OpSpanCollector(forward=Recorder())
+        execute_plan_batch(plan, backend, instances, default_registry(), profiler=collector)
+        executed = [
+            register
+            for register, op in enumerate(plan.ops)
+            if op.opcode not in ("identity_of", "const")
+        ]
+        assert len(executed) < len(plan.ops)
+        assert executed != list(range(executed[0], executed[-1] + 1))
+        assert [name for name, *_ in collector.spans] == [
+            f"r{register} {plan.ops[register].opcode}" for register in executed
+        ]
+        for register, op, result, operands in seen:
+            assert plan.ops[register] is op
+            assert result.shape[0] == len(instances)
+            assert all(operand is not None for operand in operands)
 
     def test_forwarding_preserves_the_profiler_protocol(self):
         seen = []
