@@ -13,8 +13,12 @@ FO-MATLANG and prod-MATLANG syntactically:
 * ``Pi-hadamard v. e``    (:class:`HadamardLoop`) -- ``for v, X = 1. X o e``
 * ``Pi v. e``             (:class:`ProductLoop`)  -- ``for v, X = I. X . e``
 
-Every node is an immutable dataclass; structural equality and hashing come for
-free, which the compilers to circuits and relational algebra rely on.
+Every node is an immutable dataclass with structural equality and hashing,
+which the compilers to circuits and relational algebra rely on.  Builders plug
+one sub-expression object into several places, so an expression is a DAG whose
+tree can be far larger (Csanky's inverse is 469 node objects but a tree of
+23,697 nodes); each node that can branch therefore computes its structural hash
+once and keeps it (see :func:`_branching`).
 """
 
 from __future__ import annotations
@@ -26,6 +30,17 @@ from typing import Iterator, Optional, Tuple
 @dataclass(frozen=True)
 class Expression:
     """Base class of all MATLANG / for-MATLANG expression nodes."""
+
+    #: The structural hash once computed (see :func:`_branching`); not a field.
+    _hash = None
+
+    def __getstate__(self):
+        # The fields only: string hashes are salted per process, so a copy
+        # or an unpickled node computes its own hash.
+        state = self.__dict__
+        if "_hash" in state:
+            state = {name: value for name, value in state.items() if name != "_hash"}
+        return state
 
     def children(self) -> Tuple["Expression", ...]:
         """The immediate sub-expressions of this node."""
@@ -113,6 +128,34 @@ class Expression:
         from repro.matlang.printer import to_text
 
         return to_text(self)
+
+
+def _branching(cls):
+    """Make ``cls``, a node that can have two children or more, a frozen
+    dataclass whose structural hash is cached.
+
+    The dataclass hash recurses into the children, so hashing a DAG without
+    a cache walks its whole tree, and every sub-expression hashed again (as
+    lowering's CSE does) walks its own.  Caching the hash at every node that
+    can branch bounds each hash by a chain of single-child nodes, which
+    hash their child's hash, down to a leaf or a cached node; nodes that
+    cannot branch keep no cache and no extra int.  The cached value is the
+    dataclass hash itself, kept in the ``_hash`` attribute, which is not a
+    field: equality, ``repr``, ``dataclasses.replace``, copies and pickles
+    see only the fields.
+    """
+    cls = dataclass(frozen=True)(cls)
+    structural_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = structural_hash(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 def _as_expression(value) -> Expression:
@@ -224,7 +267,7 @@ class TypeHint(Expression):
 # ----------------------------------------------------------------------
 # Binary operators
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@_branching
 class MatMul(Expression):
     """Matrix multiplication ``e1 . e2``."""
 
@@ -241,7 +284,7 @@ class MatMul(Expression):
         )
 
 
-@dataclass(frozen=True)
+@_branching
 class Add(Expression):
     """Entrywise matrix addition ``e1 + e2``."""
 
@@ -258,7 +301,7 @@ class Add(Expression):
         )
 
 
-@dataclass(frozen=True)
+@_branching
 class ScalarMul(Expression):
     """Scalar multiplication ``e1 x e2`` where ``e1`` has type ``(1, 1)``."""
 
@@ -275,7 +318,7 @@ class ScalarMul(Expression):
         )
 
 
-@dataclass(frozen=True)
+@_branching
 class Apply(Expression):
     """Pointwise application ``f(e1, ..., ek)`` of a function from the library."""
 
@@ -299,7 +342,7 @@ class Apply(Expression):
 # ----------------------------------------------------------------------
 # Loops and quantifiers
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@_branching
 class ForLoop(Expression):
     """The canonical for-loop ``for v, X (= init). body``.
 

@@ -23,9 +23,10 @@ The lowering walk itself turns a
 
 * **Common-subexpression elimination** — registers are hash-consed on the
   *structural* identity of the underlying expression (AST nodes are frozen
-  dataclasses), so structurally equal sub-trees within one binding scope
-  compile to a single register.  This strictly subsumes the id-keyed memo
-  cache the tree-walking evaluator used.
+  dataclasses that cache their hashes, so a lookup is O(1)), so
+  structurally equal sub-trees within one binding scope compile to a
+  single register.  This strictly subsumes the id-keyed memo cache the
+  tree-walking evaluator used.
 * **Loop-invariant hoisting** — a sub-expression whose free variables do
   not meet the binders of the enclosing loop is lowered into the *parent*
   plan and imported through a ``capture`` op, so it is computed once before
@@ -480,12 +481,14 @@ _PLAN_CACHE: "OrderedDict[Tuple[Expression, Tuple], Plan]" = OrderedDict()
 _PLAN_CACHE_CAPACITY = 512
 #: Identity front of the plan cache for :func:`compile_expression`:
 #: ``(id(expression), options, signature, generation) -> (expression,
-#: plan)``.  The structural key hashes the whole expression tree (Csanky's
-#: renders to ~150k characters), while a warm caller hands in the same
-#: expression object again; keying on its id makes that hit O(1).  The
-#: expression is pinned in the entry, so its id cannot be recycled while
-#: the entry lives.  Eviction is first-in first-out: a hit only reads, and
-#: an evicted expression costs one structural lookup to re-enter.
+#: plan)``.  A warm caller hands in the same expression object again;
+#: keying on its id makes that hit O(1) and hashes nothing.  The
+#: structural key costs more: its first hash visits every node object once
+#: (nodes cache their hashes), and a hit through an equal but distinct
+#: expression compares the two trees.  The expression is pinned in the
+#: entry, so its id cannot be recycled while the entry lives.  Eviction is
+#: first-in first-out: a hit only reads, and an evicted expression costs
+#: one structural lookup to re-enter.
 _IDENTITY_FRONT: "OrderedDict[Tuple, Tuple[Expression, Plan]]" = OrderedDict()
 #: Guards both dicts *and* the counters: the get / move-to-end /
 #: insert / evict sequences and the info snapshot race under concurrent

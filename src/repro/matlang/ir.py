@@ -326,6 +326,12 @@ class Plan:
         return {}
 
     @functools.cached_property
+    def _tagged_plans(self) -> dict:
+        """Memo of :func:`repro.semiring.backends.plan_physical`'s mixed
+        plans: tag tuple -> (tagged plan, conversions)."""
+        return {}
+
+    @functools.cached_property
     def _frames(self) -> Optional["_FrameCache"]:
         """This plan's frames by key, or ``None`` when no run keeps one.
 

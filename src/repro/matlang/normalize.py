@@ -37,7 +37,7 @@ used by the chain-aware fusion rules in :mod:`repro.matlang.rewrites`.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.matlang.ast import (
     Add,
@@ -151,6 +151,12 @@ def structural_key(expression: Expression) -> Tuple:
     processes (no reliance on ``hash``), so the canonical form — and with it
     the plan cache and any float64 rounding — is reproducible.
     """
+    return _structural_key(expression, structural_key)
+
+
+def _structural_key(expression: Expression, child_key: Callable[[Expression], Tuple]) -> Tuple:
+    """:func:`structural_key` of ``expression`` over its children's
+    ``child_key`` (the normalizer's memoised one)."""
     expression_type = type(expression).__name__
     if isinstance(expression, Var):
         return (expression_type, expression.name)
@@ -160,19 +166,19 @@ def structural_key(expression: Expression) -> Tuple:
         return (
             expression_type,
             expression.function,
-            tuple(structural_key(operand) for operand in expression.operands),
+            tuple(child_key(operand) for operand in expression.operands),
         )
     if isinstance(expression, TypeHint):
         return (
             expression_type,
             expression.row or "",
             expression.col or "",
-            structural_key(expression.operand),
+            child_key(expression.operand),
         )
     if isinstance(expression, ForLoop):
-        parts = [structural_key(expression.body)]
+        parts = [child_key(expression.body)]
         if expression.init is not None:
-            parts.append(structural_key(expression.init))
+            parts.append(child_key(expression.init))
         return (
             expression_type,
             expression.iterator,
@@ -180,10 +186,10 @@ def structural_key(expression: Expression) -> Tuple:
             tuple(parts),
         )
     if isinstance(expression, (SumLoop, HadamardLoop, ProductLoop)):
-        return (expression_type, expression.iterator, structural_key(expression.body))
+        return (expression_type, expression.iterator, child_key(expression.body))
     return (
         expression_type,
-        tuple(structural_key(child) for child in expression.children()),
+        tuple(child_key(child) for child in expression.children()),
     )
 
 
@@ -191,11 +197,21 @@ def structural_key(expression: Expression) -> Tuple:
 # The normalization pass
 # ----------------------------------------------------------------------
 class _Normalizer:
-    """One normalization run; counts what fired for the plan notes."""
+    """One normalization run; counts what fired for the plan notes.
+
+    The input is a DAG when :func:`~repro.matlang.typecheck.annotate`
+    shared a typed node, so rewrites and structural keys are memoised per
+    node object.  A reused rewrite adds its counts again, so the notes read
+    as for a tree.
+    """
 
     def __init__(self) -> None:
         self.reassociated_products = 0
         self.reordered_sums = 0
+        #: ``id(typed) -> (typed, rewritten, products, sums)``.
+        self._rewrites: Dict[int, Tuple] = {}
+        #: ``id(expression) -> (expression, structural key)``.
+        self._keys: Dict[int, Tuple[Expression, Tuple]] = {}
 
     def notes(self) -> Tuple[str, ...]:
         notes = []
@@ -211,8 +227,36 @@ class _Normalizer:
             )
         return tuple(notes)
 
+    def key(self, expression: Expression) -> Tuple:
+        """:func:`structural_key`, memoised."""
+        entry = self._keys.get(id(expression))
+        if entry is not None:
+            return entry[1]
+        key = _structural_key(expression, self.key)
+        self._keys[id(expression)] = (expression, key)
+        return key
+
     # ------------------------------------------------------------------
     def rewrite(self, typed: TypedExpression) -> TypedExpression:
+        if not typed.children:
+            return typed
+        entry = self._rewrites.get(id(typed))
+        if entry is not None:
+            _, rewritten, products, sums = entry
+            self.reassociated_products += products
+            self.reordered_sums += sums
+            return rewritten
+        products, sums = self.reassociated_products, self.reordered_sums
+        rewritten = self._rewrite(typed)
+        self._rewrites[id(typed)] = (
+            typed,
+            rewritten,
+            self.reassociated_products - products,
+            self.reordered_sums - sums,
+        )
+        return rewritten
+
+    def _rewrite(self, typed: TypedExpression) -> TypedExpression:
         expression = typed.expression
 
         if isinstance(expression, MatMul):
@@ -224,7 +268,7 @@ class _Normalizer:
 
         if isinstance(expression, Add):
             leaves = [self.rewrite(leaf) for leaf in add_leaves(typed)]
-            ordered = sorted(leaves, key=lambda leaf: structural_key(leaf.expression))
+            ordered = sorted(leaves, key=lambda leaf: self.key(leaf.expression))
             canonical = build_add_chain(ordered)
             if canonical.expression != typed.expression:
                 self.reordered_sums += 1

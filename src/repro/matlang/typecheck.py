@@ -14,12 +14,15 @@ The entry points are :func:`infer_type` (the type of the whole expression) and
 :func:`annotate`, which produces a :class:`TypedExpression` tree recording the
 resolved type of every sub-expression; the evaluator and the circuit compiler
 consume annotated trees so that loop bounds are known without re-inference.
+Where the input shares a sub-expression object, the annotated tree shares its
+typed node's children too (see :func:`_infer`), so typing takes time in the
+number of node objects, not tree positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.exceptions import TypingError
 from repro.matlang.ast import (
@@ -53,12 +56,13 @@ class _SymbolUnifier:
     def __init__(self) -> None:
         self._parent: Dict[str, str] = {}
         self._constant: Dict[str, Optional[str]] = {}
-        self._counter = 0
+        #: Fresh symbols drawn so far; it numbers the next one.
+        self.drawn = 0
 
     # ------------------------------------------------------------------
     def fresh(self, hint: str = "t") -> str:
-        self._counter += 1
-        name = f"?{hint}{self._counter}"
+        self.drawn += 1
+        name = f"?{hint}{self.drawn}"
         self._register(name)
         return name
 
@@ -135,11 +139,36 @@ class TypedExpression:
 
 @dataclass
 class _Context:
-    """Inference context: schema lookups plus the binding environment."""
+    """Inference context: schema lookups, the binding environment and the
+    DAG memo (see :func:`_infer`)."""
 
     schema: Schema
     unifier: _SymbolUnifier
+    #: Whether a node met again may reuse its first typing.
+    reuse: bool = True
+    #: Types of the loop-bound variables in scope.  A loop replaces the dict
+    #: instead of updating it, so a memo entry keeps it as a snapshot.
     bindings: Dict[str, Tuple[str, str]] = field(default_factory=dict)
+    #: The symbols of those types.
+    bound_symbols: FrozenSet[str] = frozenset()
+    #: ``id(node) -> (node, bindings, typed, fresh symbols drawn, reusable)``
+    #: for the first visit of every composite node.
+    seen: Dict[int, Tuple] = field(default_factory=dict)
+    #: Ids of the typed nodes :func:`_infer` returned more than once.
+    shared: Set[int] = field(default_factory=set)
+    #: ``id(node) -> (node, free variables)`` for the nodes met again and
+    #: the nodes below them.
+    free: Dict[int, Tuple[Expression, FrozenSet[str]]] = field(default_factory=dict)
+
+    def bind(self, types: Dict[str, Tuple[str, str]]) -> Tuple:
+        """Enter a loop's scope; returns the outer scope for :meth:`leave`."""
+        outer = (self.bindings, self.bound_symbols)
+        self.bindings = {**self.bindings, **types}
+        self.bound_symbols = self.bound_symbols.union(*types.values())
+        return outer
+
+    def leave(self, outer: Tuple) -> None:
+        self.bindings, self.bound_symbols = outer
 
     def type_of_variable(self, name: str, context: str) -> Tuple[str, str]:
         if name in self.bindings:
@@ -172,28 +201,131 @@ def annotate(expression: Expression, schema: Schema) -> TypedExpression:
     inference variables and the evaluator reports them when a concrete
     dimension is actually required.
     """
-    unifier = _SymbolUnifier()
-    context = _Context(schema=schema, unifier=unifier)
-    typed = _infer(expression, context)
     non_scalar = [symbol for symbol in schema.symbols() if symbol != SCALAR_SYMBOL]
     default_symbol = non_scalar[0] if len(non_scalar) == 1 else None
-    resolved = _resolve(typed, unifier, default_symbol)
+    resolved, renamed = _annotate(expression, schema, default_symbol, reuse=True)
+    if renamed:
+        resolved, _ = _annotate(expression, schema, default_symbol, reuse=False)
     resolved.schema_signature = schema.signature()
     return resolved
+
+
+def _annotate(
+    expression: Expression, schema: Schema, default_symbol: Optional[str], reuse: bool
+) -> Tuple[TypedExpression, bool]:
+    """The resolved tree, and whether a reuse may have renamed a symbol in it.
+
+    A reused node carries the inference variables of its first use.  That is
+    invisible unless a variable stays unresolved and so keeps its name; the
+    caller then types every use afresh, so names are those of a tree walk.
+    """
+    unifier = _SymbolUnifier()
+    context = _Context(schema=schema, unifier=unifier, reuse=reuse)
+    typed = _infer(expression, context)
+    resolver = _Resolver(unifier, default_symbol, context.shared)
+    resolved = resolver.resolve(typed)
+    return resolved, resolver.unresolved and bool(context.shared)
 
 
 # ----------------------------------------------------------------------
 # Inference
 # ----------------------------------------------------------------------
 def _infer(expression: Expression, ctx: _Context) -> TypedExpression:
-    unifier = ctx.unifier
+    """Type ``expression``, once per node object and context.
 
+    Builders plug one sub-expression object into several places, so the
+    input is a DAG.  A composite node met again reuses the typed node of
+    its first visit when typing it afresh could not differ:
+
+    * its free variables have the types they had then (the same loop
+      binders, hence the same symbols, or the same schema declarations),
+      so its constraints are already in the unifier; and
+    * its type consisted, at the first visit, only of constants and symbols
+      of the loop-bound variables in scope, so no symbol created inside it
+      escapes.  A polymorphic node such as ``e_max = for v, X. v`` fails
+      this and is typed at each use, as each use may fix another dimension.
+
+    Reuse also skips the fresh symbols a new typing would draw, so every
+    later symbol is named as in a tree walk.
+    """
     if isinstance(expression, Var):
         row, col = ctx.type_of_variable(expression.name, f"variable {expression.name!r}")
         return TypedExpression(expression, (row, col))
 
     if isinstance(expression, Literal):
         return TypedExpression(expression, (SCALAR_SYMBOL, SCALAR_SYMBOL))
+
+    if not ctx.reuse:
+        return _infer_node(expression, ctx)
+    seen = ctx.seen
+    entry = seen.get(id(expression))
+    if entry is not None:
+        typed = _reuse(expression, entry, ctx)
+        if typed is not None:
+            return typed
+    unifier = ctx.unifier
+    drawn = unifier.drawn
+    typed = _infer_node(expression, ctx)
+    if entry is None:
+        seen[id(expression)] = (
+            expression,
+            ctx.bindings,
+            typed,
+            unifier.drawn - drawn,
+            _escapes_nothing(typed.type, ctx),
+        )
+    return typed
+
+
+def _escapes_nothing(type: Tuple[str, str], ctx: _Context) -> bool:
+    """Whether every symbol of ``type`` is a constant or in the class of a
+    loop-bound variable's symbol."""
+    bound = ctx.bound_symbols
+    for symbol in type:
+        if symbol[0] == "?" and symbol not in bound:
+            unifier = ctx.unifier
+            root = unifier.find(symbol)
+            if unifier.constant_of(root) is None and root not in {unifier.find(part) for part in bound}:
+                return False
+    return True
+
+
+def _reuse(expression: Expression, entry: Tuple, ctx: _Context) -> Optional[TypedExpression]:
+    """The typed node of ``entry`` if it is valid here (see :func:`_infer`)."""
+    _, bindings, typed, drawn, reusable = entry
+    if not reusable:
+        return None
+    for name in _free_of(expression, ctx):
+        if bindings.get(name) != ctx.bindings.get(name):
+            return None
+    ctx.unifier.drawn += drawn
+    ctx.shared.add(id(typed))
+    return typed
+
+
+def _free_of(expression: Expression, ctx: _Context) -> FrozenSet[str]:
+    """The free variables of ``expression``, memoised over the DAG."""
+    entry = ctx.free.get(id(expression))
+    if entry is not None:
+        return entry[1]
+    if isinstance(expression, Var):
+        names = frozenset((expression.name,))
+    else:
+        names = frozenset()
+        for child in expression.children():
+            names |= _free_of(child, ctx)
+        if isinstance(expression, ForLoop):
+            names -= {expression.iterator, expression.accumulator}
+            if expression.init is not None:
+                names |= _free_of(expression.init, ctx)
+        elif isinstance(expression, (SumLoop, HadamardLoop, ProductLoop)):
+            names -= {expression.iterator}
+    ctx.free[id(expression)] = (expression, names)
+    return names
+
+
+def _infer_node(expression: Expression, ctx: _Context) -> TypedExpression:
+    unifier = ctx.unifier
 
     if isinstance(expression, Transpose):
         operand = _infer(expression.operand, ctx)
@@ -282,15 +414,13 @@ def _infer_for(expression: ForLoop, ctx: _Context) -> TypedExpression:
         unifier.unify(accumulator_type[0], init_typed.type[0], "for-loop initialiser (rows)")
         unifier.unify(accumulator_type[1], init_typed.type[1], "for-loop initialiser (columns)")
 
-    saved_iterator = ctx.bindings.get(expression.iterator)
-    saved_accumulator = ctx.bindings.get(expression.accumulator)
-    ctx.bindings[expression.iterator] = iterator_type
-    ctx.bindings[expression.accumulator] = accumulator_type
+    outer = ctx.bind(
+        {expression.iterator: iterator_type, expression.accumulator: accumulator_type}
+    )
     try:
         body = _infer(expression.body, ctx)
     finally:
-        _restore(ctx, expression.iterator, saved_iterator)
-        _restore(ctx, expression.accumulator, saved_accumulator)
+        ctx.leave(outer)
 
     unifier.unify(accumulator_type[0], body.type[0], "for-loop body must match accumulator (rows)")
     unifier.unify(
@@ -314,12 +444,11 @@ def _infer_quantifier(expression, ctx: _Context) -> TypedExpression:
     )
     unifier.unify(iterator_type[1], SCALAR_SYMBOL, "quantifier iterator must be a column vector")
 
-    saved = ctx.bindings.get(expression.iterator)
-    ctx.bindings[expression.iterator] = iterator_type
+    outer = ctx.bind({expression.iterator: iterator_type})
     try:
         body = _infer(expression.body, ctx)
     finally:
-        _restore(ctx, expression.iterator, saved)
+        ctx.leave(outer)
 
     if isinstance(expression, ProductLoop):
         unifier.unify(
@@ -335,48 +464,86 @@ def _infer_quantifier(expression, ctx: _Context) -> TypedExpression:
     )
 
 
-def _restore(ctx: _Context, name: str, saved: Optional[Tuple[str, str]]) -> None:
-    if saved is None:
-        ctx.bindings.pop(name, None)
-    else:
-        ctx.bindings[name] = saved
-
-
 # ----------------------------------------------------------------------
 # Resolution
 # ----------------------------------------------------------------------
-def _resolve(
-    typed: TypedExpression,
-    unifier: _SymbolUnifier,
-    default_symbol: Optional[str] = None,
-) -> TypedExpression:
-    def resolve_symbol(symbol: str) -> str:
-        resolved = unifier.resolve(symbol)
-        if resolved.startswith("?") and default_symbol is not None:
-            return default_symbol
+class _Resolver:
+    """Rewrite an inferred tree with every symbol resolved.
+
+    A typed node :func:`_infer` returned more than once (its ``shared``
+    ids) is resolved once, so the result keeps the input's sharing below
+    it.  Each further use gets its own node over the same children, with
+    its own type tuples: plan ops take their types from these nodes, and a
+    plan holds the same tuple objects, down to the pickle of
+    :func:`~repro.matlang.ir.serialize_plan`, as when every use was typed
+    separately.
+    """
+
+    def __init__(
+        self, unifier: _SymbolUnifier, default_symbol: Optional[str], shared: Set[int]
+    ) -> None:
+        self.unifier = unifier
+        self.default_symbol = default_symbol
+        self.shared = shared
+        self.symbols: Dict[str, str] = {}
+        self.memo: Dict[int, TypedExpression] = {}
+        #: Whether some symbol resolved to an inference variable.
+        self.unresolved = False
+
+    def symbol(self, symbol: str) -> str:
+        resolved = self.symbols.get(symbol)
+        if resolved is None:
+            resolved = self.unifier.resolve(symbol)
+            if resolved.startswith("?"):
+                if self.default_symbol is None:
+                    self.unresolved = True
+                else:
+                    resolved = self.default_symbol
+            self.symbols[symbol] = resolved
         return resolved
 
-    row, col = typed.type
-    resolved_type = (resolve_symbol(row), resolve_symbol(col))
-    resolved_children = tuple(
-        _resolve(child, unifier, default_symbol) for child in typed.children
-    )
-    iterator_symbol = (
-        resolve_symbol(typed.iterator_symbol) if typed.iterator_symbol is not None else None
-    )
-    accumulator_type = None
-    if typed.accumulator_type is not None:
-        accumulator_type = (
-            resolve_symbol(typed.accumulator_type[0]),
-            resolve_symbol(typed.accumulator_type[1]),
+    def resolve(self, typed: TypedExpression) -> TypedExpression:
+        shared = self.shared and id(typed) in self.shared
+        if shared:
+            done = self.memo.get(id(typed))
+            if done is not None:
+                return _another_use(done)
+        symbol = self.symbol
+        known = self.symbols
+        row, col = typed.type
+        children = tuple(self.resolve(child) for child in typed.children)
+        iterator_symbol = (
+            symbol(typed.iterator_symbol) if typed.iterator_symbol is not None else None
         )
+        accumulator_type = None
+        if typed.accumulator_type is not None:
+            accumulator_type = (
+                symbol(typed.accumulator_type[0]),
+                symbol(typed.accumulator_type[1]),
+            )
+        resolved = TypedExpression(
+            typed.expression,
+            (known.get(row) or symbol(row), known.get(col) or symbol(col)),
+            children,
+            iterator_symbol=iterator_symbol,
+            accumulator_type=accumulator_type,
+            free_names=_free_names(typed.expression, children),
+        )
+        if shared:
+            self.memo[id(typed)] = resolved
+        return resolved
+
+
+def _another_use(typed: TypedExpression) -> TypedExpression:
+    """A copy of ``typed`` with new type tuples over the same children."""
+    accumulator_type = typed.accumulator_type
     return TypedExpression(
         typed.expression,
-        resolved_type,
-        resolved_children,
-        iterator_symbol=iterator_symbol,
-        accumulator_type=accumulator_type,
-        free_names=_free_names(typed.expression, resolved_children),
+        (typed.type[0], typed.type[1]),
+        typed.children,
+        iterator_symbol=typed.iterator_symbol,
+        accumulator_type=None if accumulator_type is None else (accumulator_type[0], accumulator_type[1]),
+        free_names=typed.free_names,
     )
 
 

@@ -1702,10 +1702,54 @@ def plan_physical(
             ),
         )
 
+    physical_plan, conversions = _tagged_plan(plan, tuple(tags))
+    counts = {tag: tags.count(tag) for tag in ("sparse", "dense")}
+    notes = (
+        f"per-op physical planning (profile v{profile.version}, "
+        f"{profile.source}): {counts['sparse']} op(s) sparse, "
+        f"{counts['dense']} dense",
+        f"inserted {conversions} backend conversion(s) at "
+        "representation boundaries",
+    )
+    return PhysicalPlan(
+        physical_plan,
+        {
+            "dense": backend_for(semiring, "dense"),
+            "sparse": backend_for(semiring, "sparse"),
+        },
+        "dense",
+        notes,
+    )
+
+
+#: Mixed assignments kept per base plan (first in, first out).
+TAGGED_PLAN_CAPACITY = 4
+
+
+def _tagged_plan(plan, tags: Tuple[str, ...]):
+    """``plan`` with its ops tagged by ``tags`` and conversions inserted at
+    the boundaries; returns ``(tagged plan, conversions inserted)``.
+
+    Memoised on ``plan``, so every dispatch of one mixed assignment runs one
+    plan object, and what the executor caches on a plan (``affine_body``,
+    ``value_types``, the frame classification) is computed once.
+    """
+    memo = plan._tagged_plans
+    entry = memo.get(tags)
+    if entry is None:
+        entry = memo[tags] = _tag_plan(plan, tags)
+        for stale in list(memo)[:-TAGGED_PLAN_CAPACITY]:
+            memo.pop(stale, None)
+    return entry
+
+
+def _tag_plan(plan, tags: Tuple[str, ...]):
+    """The uncached :func:`_tagged_plan`."""
     from dataclasses import replace as _replace
 
     from repro.matlang.ir import Plan, PlanOp
 
+    ops = plan.ops
     out_ops: list = []
     remap: Dict[int, int] = {}
     conversions: Dict[Tuple[int, str], int] = {}
@@ -1745,20 +1789,4 @@ def plan_physical(
         tuple(sorted({remap[register] for register in plan.pinned})),
         notes=plan.notes,
     )
-    counts = {tag: tags.count(tag) for tag in ("sparse", "dense")}
-    notes = (
-        f"per-op physical planning (profile v{profile.version}, "
-        f"{profile.source}): {counts['sparse']} op(s) sparse, "
-        f"{counts['dense']} dense",
-        f"inserted {len(conversions)} backend conversion(s) at "
-        "representation boundaries",
-    )
-    return PhysicalPlan(
-        physical_plan,
-        {
-            "dense": backend_for(semiring, "dense"),
-            "sparse": backend_for(semiring, "sparse"),
-        },
-        "dense",
-        notes,
-    )
+    return physical_plan, len(conversions)

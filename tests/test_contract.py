@@ -386,6 +386,35 @@ def test_contractions_agree_with_the_tree_walk(semiring, program, n, m, seed):
     _check(semiring, program, n, m, seed)
 
 
+def _stored_real_nest():
+    """A four-deep nest on which REAL ``run_batch`` and ``evaluate`` differ
+    by one ulp at ``n = m = 2``, seed 0 (drawn by the test above)."""
+    s0, s1 = hint(var("_s0"), "alpha", "1"), hint(var("_s1"), "alpha", "1")
+    s2, s3 = hint(var("_s2"), "beta", "1"), hint(var("_s3"), "beta", "1")
+    A, C = var("A"), var("C")
+    diagonal = s0.T @ A @ s0
+    body = (
+        apply("mul", diagonal, diagonal)
+        * (lit(1) + lit(-1) * (s0.T @ s1))
+        * (s0.T @ C @ s2)
+        * (s0.T @ C @ s3)
+        * (s1.T @ C @ s2)
+        * (s1.T @ (A @ C) @ s3)
+        * (s2.T @ (C.T @ C) @ s3)
+    )
+    expression = ssum("_s0", ssum("_s1", ssum("_s2", ssum("_s3", body))))
+    return Program(expression, bound=1458.0, lowered=True, sum_loops=1, relational=True)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 4: float64 stacked matmul rounds by operand layout",
+)
+def test_stored_real_nest_agrees_bitwise_across_paths():
+    _check(REAL, _stored_real_nest(), 2, 2, 0)
+
+
 @settings(max_examples=15, deadline=None)
 @given(program=nests(), n=st.integers(1, 2), m=st.integers(1, 2))
 def test_provenance_contractions_agree_with_the_tree_walk(program, n, m):

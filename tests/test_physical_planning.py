@@ -33,10 +33,10 @@ import pytest
 from repro.exceptions import EvaluationError, SemiringError
 from repro.matlang.builder import prod, var
 from repro.matlang.compiler import clear_plan_cache, compile_expression
-from repro.matlang.evaluator import Evaluator, evaluate
+from repro.matlang.evaluator import Evaluator, evaluate, evaluate_batch
 from repro.matlang.functions import default_registry
 from repro.matlang.instance import Instance
-from repro.matlang.ir import Plan, execute_plan, execute_plan_batch
+from repro.matlang.ir import Plan, execute_plan, execute_plan_batch, serialize_plan
 from repro.profile import (
     DEFAULT_PROFILE,
     CostProfile,
@@ -52,6 +52,7 @@ from repro.semiring.backends import AUTO_SPARSE_MIN_DIMENSION, backend_for, plan
 from repro.semiring.provenance import PROVENANCE, Polynomial
 from repro.service import CoalescingPolicy, Engine
 from repro.service.batching import QueryFuture, QueryRequest, coalesce
+from repro.stdlib import transitive_closure_product
 
 try:
     import scipy.sparse  # noqa: F401
@@ -172,6 +173,30 @@ class TestPerOpAssignment:
         assert conversions, "a mixed plan must carry explicit conversion ops"
         assert any("per-op physical planning" in note for note in physical.notes)
         assert any("conversion" in note for note in physical.notes)
+
+    def test_a_mixed_assignment_reuses_one_tagged_plan(self):
+        # The serve-mixed closure shape: n=128, density 0.004, batches of 8.
+        rng = np.random.default_rng(5)
+        instances = []
+        for _ in range(8):
+            adjacency = rng.random((128, 128)) < 0.004
+            np.fill_diagonal(adjacency, False)
+            instances.append(Instance.from_matrices({"A": adjacency}, semiring=BOOLEAN))
+        expression = transitive_closure_product()
+        plan = compile_expression(expression, instances[0].schema)
+        first = plan_physical(plan, instances[0], None, batch_size=8)
+        second = plan_physical(plan, instances[0], None, batch_size=8)
+        assert first.mixed
+        assert second.plan is first.plan
+        assert second.notes == first.notes
+        # A copy of the base plan holds no memo, so it tags afresh.
+        fresh = plan_physical(dataclasses.replace(plan), instances[0], None, batch_size=8)
+        assert fresh.plan is not first.plan
+        assert serialize_plan(fresh.plan) == serialize_plan(first.plan)
+        dense = [Evaluator(instance, backend="dense").run(expression) for instance in instances]
+        for _ in range(2):
+            for result, reference in zip(evaluate_batch(expression, instances), dense):
+                assert np.array_equal(result, reference)
 
     def test_closure_fill_in_flips_moderately_dense_power_to_dense(self):
         # A closure (power op) over a moderately dense matrix fills in to
