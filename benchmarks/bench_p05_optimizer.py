@@ -6,8 +6,9 @@ every push):
 
 * **normalization widens fusion** — ``Sigma_v A . (B . v)``, which only
   fused when written ``(A . B) . v``, now compiles loop-free (and the
-  pushed-through ones vector keeps it quadratic instead of cubic), agreeing
-  with the reference tree-walk;
+  chain ordering multiplies its ones vector first, ``A . (B . 1)``, which
+  keeps it quadratic instead of cubic), agreeing with the reference
+  tree-walk;
 * **cost-based ordering** — a rectangular matmul chain evaluated in the
   DP-chosen association beats the written-order association by at least 5x;
 * **adaptive physical planning** — with no user-supplied backend flag, the
@@ -72,7 +73,7 @@ def test_reassociated_sum_quantifier_compiles_loop_free():
     expression = ssum("_v", var("A") @ (var("B") @ v))
     plan = compile_expression(expression, instance.schema)
     assert plan.count_ops("loop") == 0, plan.explain()
-    # The pushed-through ones vector keeps the chain quadratic: no
+    # Multiplying the ones vector first keeps the chain quadratic: no
     # matrix-matrix product survives in the plan.
     assert plan.count_ops("ones_type") == 1
 

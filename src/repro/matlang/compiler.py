@@ -32,17 +32,17 @@ The lowering walk itself turns a
   plan and imported through a ``capture`` op, so it is computed once before
   the loop instead of once per iteration (and bubbles out of nested loops
   as far as its dependencies allow).
-* **Loop fusion** — quantifier loops whose bodies match the algebraic
+* **Loop fusion** — product quantifiers whose bodies match the algebraic
   patterns of :mod:`repro.matlang.rewrites` compile to single fused kernel
-  ops (row/column sums, trace, diagonal extraction, iterated powers by
-  repeated squaring), eliminating the per-iteration Python loop entirely.
-  ``for v, X. X + e`` loops are first recognised as sum quantifiers.
-* **Contraction** — a ``sum`` loop no rule fuses is lowered, with the
-  ``Sigma`` nest around it, as a semiring contraction by variable
-  elimination (:mod:`repro.matlang.contract`), when its body is a product
-  of matrix entries and an output selector.  The order is rules, then the
-  contraction, then a generic ``loop`` op (which :mod:`repro.matlang.ir`
-  runs as lanes where it can).
+  ops (iterated powers by repeated squaring, the product of the diagonal),
+  eliminating the per-iteration Python loop entirely.
+* **Contraction** — every ``sum`` loop is lowered, with the ``Sigma`` nest
+  around it, as a semiring contraction by variable elimination
+  (:mod:`repro.matlang.contract`), when its body is a sum of products of
+  matrix entries and output selectors.  ``for v, X. X + e`` loops are
+  first recognised as sum quantifiers.  A quantifier neither lowering
+  takes becomes a generic ``loop`` op (which :mod:`repro.matlang.ir` runs
+  as lanes where it can).
 
 Compiled plans are cached at module level keyed by ``(expression, schema
 signature, optimizer options)`` — plans reference dimension *symbols*, not
@@ -209,9 +209,10 @@ def lower(typed: TypedExpression, options: Optional[OptimizationOptions] = None)
     cost-based matmul-chain reordering.  Stages record what fired in
     ``Plan.notes``.
 
-    The dead-op pruning pass removes ops orphaned by speculative rewrite
-    rules (the Add-body split of :mod:`repro.matlang.rewrites`), restoring
-    the plan the non-speculative compiler would have produced.  Registers
+    The dead-op pruning pass removes ops orphaned by a speculative lowering
+    (a ``Sigma`` over a sum of terms that :mod:`repro.matlang.contract`
+    splits, one of which then declines), restoring the plan the
+    non-speculative compiler would have produced.  Registers
     recorded in ``Plan.pinned`` (for-loop initialisers whose loop was
     eliminated) survive pruning for error parity with the interpreter.
     """
@@ -231,7 +232,7 @@ def lower(typed: TypedExpression, options: Optional[OptimizationOptions] = None)
         plan, reorder_notes = reorder_plan(plan, model=CostModel.from_active())
         notes = notes + reorder_notes
     if notes:
-        plan = replace(plan, notes=notes)
+        plan = Plan(plan.ops, plan.result, plan.pinned, notes)
     return plan
 
 
@@ -343,8 +344,8 @@ def _lower_for(typed: TypedExpression, frame: _Frame) -> int:
     else:
         (body_typed,) = typed.children
         # ``for v, X. X + e`` is the sum quantifier in disguise; treating it
-        # as one unlocks the sum-fusion rules and drops the accumulator
-        # binding (which in turn lets more of the body hoist).
+        # as one lets it contract and drops the accumulator binding (which
+        # in turn lets more of the body hoist).
         sum_body = rewrites.sum_quantifier_body(typed)
         if sum_body is not None:
             return _lower_quantifier(typed, sum_body, frame, "sum")
@@ -385,13 +386,12 @@ def _lower_quantifier(
         raise EvaluationError("loop node is missing its iterator annotation")
 
     context = _RuleContext(frame, expression.iterator, typed.iterator_symbol)
-    fused = rewrites.try_fuse(kind, body_typed, context)
+    if kind == "sum":
+        fused = contract.lower_sum_nest(typed, body_typed, context)
+    else:
+        fused = rewrites.try_fuse(kind, body_typed, context)
     if fused is not None:
         return fused
-    if kind == "sum":
-        contracted = contract.lower_sum_nest(typed, body_typed, context)
-        if contracted is not None:
-            return contracted
 
     child = _Frame(frame, iterator_name=expression.iterator)
     body_register = _lower(body_typed, child)

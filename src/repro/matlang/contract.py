@@ -5,14 +5,21 @@ quantifiers is a sum, over every binding of its iterators, of a product of
 matrix entries.  Run as a loop (or as lanes, see :mod:`repro.matlang.ir`),
 the nest enumerates all ``n^k`` bindings; variable elimination sums one
 iterator out at a time instead, each step one kernel call over matrices.
-The compiler tries this lowering when no rule of
-:mod:`repro.matlang.rewrites` fuses a ``sum`` loop, and keeps the loop when
-the nest is outside the fragment below.
+This is the compiler's only lowering of ``Sigma``: it keeps the loop when
+the nest is outside the fragment below.  Row sums, traces, diagonals and
+``n`` copies need no rule of their own; they come out as ``M . 1``,
+``1^T . diagonal(M)``, ``diag(diagonal(M))`` and ``(1^T . 1) x e``, whose
+ones and dimension are values of the executor's dimension frame.
 
 The nest is the maximal run of directly nested ``Sigma`` quantifiers (seen
 through type hints, and including the paper's ``for v, X. X + e``
-desugaring).  Its body must be a product (``scale``, or ``matmul`` of
-``1 x 1`` values) of
+desugaring); a quantifier that rebinds a nest iterator belongs to the body.
+A body that is a sum of matrix terms splits first: ``Sigma (a + b)`` is
+``Sigma a + Sigma b``, each term extended by the quantifiers directly
+inside it and contracted on its own, and the split is kept only when every
+term lowers (the compiler prunes what a declined split emitted).  A
+``1 x 1`` sum stays one factor.  Otherwise the body must be a product
+(``scale``, or ``matmul`` of ``1 x 1`` values) of
 
 * ``1 x 1`` *factors* over at most two nest iterators: ``x^T . M . y``
   where ``x`` and ``y`` are nest iterators or nest-free vectors and ``M`` is
@@ -25,7 +32,9 @@ desugaring).  Its body must be a product (``scale``, or ``matmul`` of
 Each factor becomes the matrix whose entry it is: ``x^T M y`` is ``M``
 (transposed when ``y`` is the outer iterator), ``x^T y`` is ``I``, a scalar
 ``c`` is ``c . J``; a factor over one iterator is a vector (``x^T M x`` is
-the diagonal of ``M``), and ``+``, products and ``apply`` become ``add``,
+``diagonal(M)``, which reads the ``n`` diagonal entries where
+``(M o I) . 1`` would touch all ``n^2``), and ``+``, products and
+``apply`` become ``add``,
 ``hadamard`` and an entrywise ``apply`` over the union of their iterators.
 The iterators that no selector keeps are then eliminated in the min-fill
 order :func:`repro.matlang.cost.elimination_order` picks from the factor
@@ -37,10 +46,11 @@ iterator fixed.  What is left is multiplied into the selector's shape:
 ``T[u, w]``, a column, a row, ``diag`` of a vector for ``u . u^T``, or a
 scalar scaling a nest-free matrix.
 
-The lowering emits only existing opcodes (``matmul``, ``hadamard``,
-``add``, ``scale``, ``transpose``, ``diag``, ``ones_type``,
-``identity_sym``, ``apply`` and a ``sum`` loop), so every backend runs the
-result unchanged and int64 overflow still raises in the kernels.  Every op
+The lowering emits ``matmul``, ``hadamard``, ``add``, ``scale``,
+``transpose``, ``diag``, ``diagonal``, ``ones_type``, ``identity_sym``,
+``apply`` and ``sum`` loops; every backend runs them (``diagonal`` has a
+generic form, ``(M o I) . 1``) and int64 overflow still raises in the
+kernels.  Every op
 lands in the outermost plan frame its inputs allow, so matrices built from
 loop-invariant parts are computed once.  Only distributivity and
 commutativity are used: exact semirings agree bitwise with the tree-walk
@@ -54,6 +64,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.matlang.ast import Add, Apply, ForLoop, MatMul, ScalarMul, SumLoop, Transpose, Var
@@ -241,9 +252,14 @@ def _parse_body(body: TypedExpression, names) -> Tuple[list, _Output]:
     return factors, output
 
 
-def _collect_nest(typed: TypedExpression, body: TypedExpression):
-    """The nest's ``(iterator, symbol)`` pairs, outermost first, and its body."""
-    iterators = [(typed.expression.iterator, typed.iterator_symbol)]
+def _collect_nest(iterators, body: TypedExpression):
+    """``iterators`` (``(iterator, symbol)`` pairs, outermost first) extended
+    by the quantifiers directly inside ``body``, and the body inside them.
+
+    A quantifier that rebinds a nest iterator ends the nest: it is part of
+    the body, which reads nothing of the outer binder.
+    """
+    iterators = list(iterators)
     while True:
         node = strip_hints(body)
         expression = node.expression
@@ -256,18 +272,17 @@ def _collect_nest(typed: TypedExpression, body: TypedExpression):
         else:
             break
         if any(expression.iterator == name for name, _ in iterators):
-            raise _Decline  # a shadowed binder
+            break
         iterators.append((expression.iterator, node.iterator_symbol))
         body = inner
-    if any(symbol is None or symbol == SCALAR_SYMBOL for _, symbol in iterators):
-        raise _Decline
     return iterators, body
 
 
 # ----------------------------------------------------------------------
 # Emission
 # ----------------------------------------------------------------------
-#: A value of the contraction: a register of a compiler frame and its type.
+#: A value of the contraction: a register of the compiler frame that
+#: computes it (never a ``capture`` op) and its type.
 _Value = namedtuple("_Value", "frame register type")
 #: A factor-graph node: a value over ``scope``, the nest iterators indexing
 #: its rows and columns (in nest order; a vector has one, a scalar none).
@@ -298,10 +313,13 @@ class _Emitter:
         self.root = self.base
         while self.root.parent is not None:
             self.root = self.root.parent
-        #: Lane frames -> the symbol of their iterator.
-        self.lanes: Dict[Any, str] = {}
-        #: ``(lane symbols, type)`` of the largest value emitted so far.
+        #: Lane frames -> the symbols of their iterators and of the lane
+        #: frames around them, outermost first (other frames have none).
+        self.lanes: Dict[Any, Tuple[str, ...]] = {}
+        #: ``(lane symbols, type)`` of the largest value emitted so far, and
+        #: its rank: how many of its axes are not ``1``.
         self.largest: Tuple[Tuple[str, ...], Tuple[str, str]] = ((), SCALAR)
+        self.rank = 0
 
     # -- values --------------------------------------------------------
     def resolve(self, value: _Value) -> _Value:
@@ -323,28 +341,22 @@ class _Emitter:
         register = self.context.lower(typed)
         return self.resolve(_Value(self.base, register, typed.type))
 
-    def emit(self, opcode: str, inputs: Sequence[_Value], type, frame=None, **params) -> _Value:
-        inputs = [self.resolve(value) for value in inputs]
+    def emit(self, opcode: str, inputs: Sequence[_Value], type, frame=None, symbol=None, name=None) -> _Value:
         if frame is None:
-            frame = max((value.frame for value in inputs), key=_depth, default=self.root)
-        registers = tuple(self.into(value, frame) for value in inputs)
-        key = ("__contract__", opcode, registers, type, tuple(sorted(params.items())))
+            frame = self.root
+            for value in inputs:
+                if value.frame is not frame and _depth(value.frame) > _depth(frame):
+                    frame = value.frame
+        registers = tuple(map(self.into, inputs, repeat(frame)))
+        key = ("__contract__", opcode, registers, type, symbol, name)
         register = frame.cse.get(key)
         if register is None:
-            register = frame.emit(opcode, registers, type=type, **params)
-            frame.cse[key] = register
-        self._measure(frame, type)
+            register = frame.cse[key] = frame.emit(opcode, registers, type=type, symbol=symbol, name=name)
+        lanes = self.lanes.get(frame, ())
+        rank = len(lanes) + (type != SCALAR) + (SCALAR_SYMBOL not in type)
+        if rank > self.rank:
+            self.largest, self.rank = (lanes, type), rank
         return _Value(frame, register, type)
-
-    def _measure(self, frame, type) -> None:
-        lanes = []
-        while frame is not None:
-            if frame in self.lanes:
-                lanes.append(self.lanes[frame])
-            frame = frame.parent
-        shape = (tuple(reversed(lanes)), type)
-        if _rank(shape) > _rank(self.largest):
-            self.largest = shape
 
     # -- constructors ----------------------------------------------------
     def ones(self, rows: str, cols: str) -> _Value:
@@ -355,11 +367,10 @@ class _Emitter:
         return self.emit("identity_sym", (), (symbol, symbol), symbol=symbol)
 
     def transpose(self, value: _Value) -> _Value:
-        value = self.resolve(value)
         op = value.frame.ops[value.register]
         flipped = (value.type[1], value.type[0])
         if op.opcode == "transpose":
-            return _Value(value.frame, op.inputs[0], flipped)
+            return self.resolve(_Value(value.frame, op.inputs[0], flipped))
         return self.emit("transpose", (value,), flipped)
 
     def matmul(self, left: _Value, right: _Value) -> _Value:
@@ -398,11 +409,6 @@ class _Emitter:
         return self.matmul(self.ones(self.symbols[first], SCALAR_SYMBOL), self.transpose(node.value))
 
 
-def _rank(shape) -> int:
-    lanes, type = shape
-    return len(lanes) + sum(symbol != SCALAR_SYMBOL for symbol in type)
-
-
 def _describe(shape) -> str:
     lanes, type = shape
     symbols = list(lanes) + [symbol for symbol in type if symbol != SCALAR_SYMBOL]
@@ -431,9 +437,8 @@ class _Contraction:
                 if row == col:
                     if factor.matrix is None:
                         return _Node(emit.ones(*SCALAR), ())  # v^T v = 1
-                    diagonal = emit.fold("hadamard", (emit.lower(factor.matrix), emit.identity(row)))
-                    ones = emit.ones(emit.symbols[row], SCALAR_SYMBOL)
-                    return _Node(emit.matmul(diagonal, ones), (row,))
+                    column = (emit.symbols[row], SCALAR_SYMBOL)
+                    return _Node(emit.emit("diagonal", (emit.lower(factor.matrix),), column), (row,))
                 if factor.matrix is None:
                     value = emit.identity(row)
                 else:
@@ -463,6 +468,8 @@ class _Contraction:
 
     def merge(self, nodes: List[_Node]) -> List[_Node]:
         """One node per scope: the product of the nodes that share it."""
+        if len(nodes) < 2:
+            return nodes
         groups: Dict[Tuple[str, ...], List[_Value]] = {}
         for node in nodes:
             groups.setdefault(node.scope, []).append(node.value)
@@ -473,8 +480,9 @@ class _Contraction:
         """Sum ``name`` out of the nodes that mention it."""
         emit = self.emitter
         symbol = emit.symbols[name]
-        gathered = [node for node in nodes if name in node.scope]
-        rest = [node for node in nodes if name not in node.scope]
+        gathered, rest = [], []
+        for node in nodes:
+            (gathered if name in node.scope else rest).append(node)
         scope = self.scope({other for node in gathered for other in node.scope} - {name})
         vectors = [node.value for node in gathered if node.scope == (name,)]
         if not scope:
@@ -521,6 +529,8 @@ class _Contraction:
 
         ``None`` stands for all ones (no node left to multiply).
         """
+        if not nodes:
+            return None
         emit = self.emitter
         scalars = [node.value for node in nodes if not node.scope]
         kept = self.scope({name for name in (output.row, output.col) if name is not None})
@@ -584,21 +594,52 @@ def lower_sum_nest(typed: TypedExpression, body: TypedExpression, context) -> Op
     ``body`` is the outermost quantifier's body and ``context`` the
     compiler's rule context (``frame``, ``lower``, ``child_frame``).
     Returns the result register in ``context.frame``, or ``None`` when the
-    nest is outside the fragment (nothing is emitted then).
+    nest is outside the fragment.  A declined split may leave ops behind,
+    which the compiler's dead-op pruning removes; its notes are dropped.
     """
+    iterators, body = _collect_nest([(typed.expression.iterator, typed.iterator_symbol)], body)
+    notes = context.frame.notes
+    written = len(notes)
+    register = _lower_terms(iterators, body, context)
+    if register is None:
+        del notes[written:]
+    return register
+
+
+def _lower_terms(iterators, body: TypedExpression, context) -> Optional[int]:
+    """``Sigma (a + b)`` over matrix terms as ``Sigma a + Sigma b``.
+
+    Each term extends the nest by its own quantifiers and is contracted on
+    its own; the split is used only when every term lowers.
+    """
+    node = strip_hints(body)
+    if not isinstance(node.expression, Add) or node.type == SCALAR:
+        return _contract(iterators, body, context)
+    total = None
+    for term in add_leaves(node):
+        register = _lower_terms(*_collect_nest(iterators, term), context)
+        if register is None:
+            return None
+        total = register if total is None else context.frame.emit("add", (total, register), type=node.type)
+    return total
+
+
+def _contract(iterators, body: TypedExpression, context) -> Optional[int]:
+    """One nest, whose body is a product of factors and a selector."""
+    symbols = dict(iterators)
     try:
-        iterators, body = _collect_nest(typed, body)
-        names = frozenset(name for name, _ in iterators)
-        factors, output = _parse_body(body, names)
-        factors = [leaf for factor in factors for leaf in _products(factor)]
-        if any(len(factor.iterators) > 2 for factor in factors):
+        if None in symbols.values() or SCALAR_SYMBOL in symbols.values():
             raise _Decline
+        factors, output = _parse_body(body, frozenset(symbols))
+        factors = [leaf for factor in factors for leaf in _products(factor)]
+        for factor in factors:
+            if isinstance(factor, _Combine) and len(factor.iterators) > 2:
+                raise _Decline
     except _Decline:
         return None
 
-    symbols = dict(iterators)
-    order = {name: index for index, (name, _) in enumerate(iterators)}
-    kept = frozenset(name for name in (output.row, output.col) if name is not None)
+    order = {name: index for index, name in enumerate(symbols)}
+    kept = frozenset((output.row, output.col)) - {None}
 
     frame = context.frame
     emitter = _Emitter(context, symbols)
@@ -611,7 +652,7 @@ def lower_sum_nest(typed: TypedExpression, body: TypedExpression, context) -> Op
         for name in order
         if name not in indexed
     ]
-    steps = elimination_order(list(order), [frozenset(node.scope) for node in nodes], kept)
+    steps = elimination_order(order, [node.scope for node in nodes], kept)
 
     lanes: List[Tuple[Any, str]] = []
     inner = frame
@@ -619,15 +660,16 @@ def lower_sum_nest(typed: TypedExpression, body: TypedExpression, context) -> Op
         if action == "eliminate":
             nodes = contraction.eliminate(nodes, name)
             continue
-        inner = context.child_frame(inner, name)
-        emitter.lanes[inner] = symbols[name]
+        child = context.child_frame(inner, name)
+        emitter.lanes[child] = emitter.lanes.get(inner, ()) + (symbols[name],)
+        inner = child
         lanes.append((inner, name))
         iterator = emitter.emit("iterator", (), (symbols[name], SCALAR_SYMBOL), frame=inner)
         nodes = contraction.fix(nodes, name, iterator)
 
     total = contraction.combine(nodes, output)
     for child, name in reversed(lanes):
-        result = emitter.into(emitter.resolve(total), child)
+        result = emitter.into(total, child)
         loop = Plan(tuple(child.ops), result, pinned=tuple(child.pinned))
         register = child.parent.emit(
             "loop",
@@ -641,13 +683,12 @@ def lower_sum_nest(typed: TypedExpression, body: TypedExpression, context) -> Op
         total = _Value(child.parent, register, total.type)
 
     result = contraction.finish(total, output)
-    register = emitter.into(emitter.resolve(result), frame)
+    register = emitter.into(result, frame)
 
-    eliminated = [name for action, name in steps if action == "eliminate"]
-    parts = [f"contract: Sigma over ({', '.join(order)}) -> ({', '.join(contraction.scope(kept))})"]
-    if lanes:
-        parts.append(f"lane loop over {', '.join(name for _, name in lanes)}")
-    parts.append(f"eliminate {', '.join(eliminated) if eliminated else 'nothing'}")
-    parts.append(f"largest intermediate {_describe(emitter.largest)}")
-    frame.notes.append("; ".join(parts))
+    loops = f"lane loop over {', '.join(name for _, name in lanes)}; " if lanes else ""
+    eliminated = ", ".join(name for action, name in steps if action == "eliminate") or "nothing"
+    frame.notes.append(
+        f"contract: Sigma over ({', '.join(order)}) -> ({', '.join(contraction.scope(kept))}); "
+        f"{loops}eliminate {eliminated}; largest intermediate {_describe(emitter.largest)}"
+    )
     return register

@@ -13,17 +13,14 @@ matrices with vectors (symbols against ``"1"``) has an optimal association
 that is a full surrogate factor cheaper than the worst one, while all-square
 chains cost the same either way and are left in their canonical form.
 
-Two rewrites fire, both exact over every semiring (associativity only):
-
-* **matrix-chain ordering** — a maximal chain of ``matmul`` ops whose
-  intermediate results have no other consumer is flattened and re-emitted
-  in the association the classic matrix-chain DP picks, when that beats the
-  association the plan came with;
-* **reduction push-through** — ``row_sums`` / ``col_sums`` applied to a
-  chain product is the product against a ones vector, so the ones vector
-  enters the DP as one more factor; when multiplying by it early is cheaper
-  (``Sigma_v A.(B.v)``: ``A.(B.1)`` at quadratic cost instead of the cubic
-  ``(A.B).1``), the fused reduction op is expanded into the reordered chain.
+One rewrite fires, exact over every semiring (associativity only): a
+maximal chain of ``matmul`` ops whose intermediate results have no other
+consumer is flattened and re-emitted in the association the classic
+matrix-chain DP picks, when that beats the association the plan came with.
+Row and column sums are products against an all-ones vector in the plan
+(see :mod:`repro.matlang.contract`), so the ones vector is one more chain
+factor: ``Sigma_v A.(B.v)`` runs as ``A.(B.1)`` at quadratic cost instead of
+the cubic ``(A.B).1``.
 
 Estimated costs use the schoolbook ``rows * inner * cols`` FLOP count per
 product.  The pass rewrites structure only — it never changes which
@@ -47,8 +44,8 @@ costs the per-op backend planner (:mod:`repro.semiring.backends`) consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.matlang.ir import Plan, PlanOp
 from repro.matlang.schema import SCALAR_SYMBOL, MatrixType
@@ -173,8 +170,8 @@ def chain_order(
 
 
 def elimination_order(
-    iterators: Sequence[str],
-    scopes: Iterable[FrozenSet[str]],
+    iterators: Iterable[str],
+    scopes: Iterable[Iterable[str]],
     outputs: FrozenSet[str],
 ) -> Tuple[Tuple[str, str], ...]:
     """Schedule the variable elimination of a ``Sigma`` nest's factor graph.
@@ -195,11 +192,15 @@ def elimination_order(
     schedule with that iterator fixed, which removes it from the graph.
     The schedule depends on the factor graph only.
     """
-    position = {name: index for index, name in enumerate(iterators)}
+    remaining = [name for name in iterators if name not in outputs]
+    if len(remaining) < 2:
+        # A lone iterator's neighbours are all outputs, at most two.
+        return tuple(("eliminate", name) for name in remaining)
     graph: Dict[str, set] = {name: set() for name in iterators}
     for scope in scopes:
         for name in scope:
-            graph[name].update(other for other in scope if other != name)
+            graph[name].update(scope)
+            graph[name].discard(name)
 
     def fill(name: str) -> int:
         neighbours = sorted(graph[name])
@@ -210,33 +211,25 @@ def elimination_order(
             if second not in graph[first]
         )
 
-    def remove(name: str) -> None:
-        for neighbour in graph.pop(name):
-            graph[neighbour].discard(name)
-
+    # ``remaining`` is in nest order, and ``min`` / ``max`` keep the first
+    # of equal candidates: ties go to the outermost iterator.
     steps: List[Tuple[str, str]] = []
-    remaining = [name for name in iterators if name not in outputs]
     while remaining:
         allowed = [name for name in remaining if len(graph[name]) <= 2]
         if allowed:
-            name = min(allowed, key=lambda v: (fill(v), len(graph[v]), position[v]))
-            neighbours = sorted(graph[name])
+            name = allowed[0] if len(allowed) == 1 else min(allowed, key=lambda v: (fill(v), len(graph[v])))
+            neighbours = graph[name]
             for first in neighbours:
-                graph[first].update(other for other in neighbours if other != first)
+                graph[first].update(neighbours)
+                graph[first].discard(first)
             steps.append(("eliminate", name))
         else:
-            name = max(remaining, key=lambda v: (len(graph[v]), -position[v]))
+            name = max(remaining, key=lambda v: len(graph[v]))
             steps.append(("lane", name))
-        remove(name)
+        for neighbour in graph.pop(name):
+            graph[neighbour].discard(name)
         remaining.remove(name)
     return tuple(steps)
-
-
-@dataclass(frozen=True)
-class _OnesLeaf:
-    """A virtual chain factor: the all-ones vector of a reduction push."""
-
-    type: MatrixType
 
 
 def reorder_plan(
@@ -265,6 +258,12 @@ def _reorder(plan: Plan, notes: List[str], model: CostModel) -> Plan:
             if body is not op.body:
                 ops[index] = replace(op, body=body)
                 changed = True
+
+    # A chain of three or more factors has a product as an operand.
+    if not any(
+        ops[register].opcode == "matmul" for op in ops if op.opcode == "matmul" for register in op.inputs
+    ):
+        return Plan(tuple(ops), plan.result, plan.pinned, notes=plan.notes) if changed else plan
 
     uses = [0] * len(ops)
     for op in ops:
@@ -320,61 +319,27 @@ def _reorder(plan: Plan, notes: List[str], model: CostModel) -> Plan:
         return total
 
     absorbed: set = set()
-    #: root op index -> (chain factors as registers / ones leaves, DP splits)
+    #: root op index -> (chain factor registers, DP splits)
     rebuilt: Dict[int, Tuple[list, Dict[Tuple[int, int], int]]] = {}
 
     for index in range(len(ops) - 1, -1, -1):
-        if index in absorbed:
+        if index in absorbed or ops[index].opcode != "matmul":
             continue
-        op = ops[index]
-
-        if op.opcode in ("row_sums", "col_sums"):
-            source = op.inputs[0]
-            if not absorbable(source):
-                continue
-            leaves, interiors = flatten(source)
-            if leaves is None:
-                continue
-            types = [ops[register].type for register in leaves]
-            as_is = current_cost(source, interiors)
-            if as_is is None:
-                continue
-            rows, cols = types[0][0], types[-1][1]
-            keep_cost = as_is + weight(rows) * weight(cols)
-            if op.opcode == "row_sums":
-                factors = leaves + [_OnesLeaf((cols, SCALAR_SYMBOL))]
-            else:
-                factors = [_OnesLeaf((SCALAR_SYMBOL, rows))] + leaves
-            push_cost, splits = model.chain_order(
-                [_factor_type(ops, f) for f in factors]
+        leaves, interiors = flatten(index)
+        if leaves is None or len(leaves) < 3:
+            continue
+        types = [ops[register].type for register in leaves]
+        as_is = current_cost(index, interiors)
+        if as_is is None:
+            continue
+        best, splits = model.chain_order(types)
+        if best < as_is:
+            rebuilt[index] = (leaves, splits)
+            absorbed.update(interiors)
+            notes.append(
+                f"reorder: re-associated a {len(leaves)}-factor matmul "
+                f"chain (est. cost {as_is} -> {best})"
             )
-            if push_cost < keep_cost:
-                rebuilt[index] = (factors, splits)
-                absorbed.add(source)
-                absorbed.update(interiors)
-                notes.append(
-                    f"reorder: pushed {op.opcode.replace('_', ' ')} through a "
-                    f"{len(leaves)}-factor matmul chain "
-                    f"(est. cost {keep_cost} -> {push_cost})"
-                )
-            continue
-
-        if op.opcode == "matmul":
-            leaves, interiors = flatten(index)
-            if leaves is None or len(leaves) < 3:
-                continue
-            types = [ops[register].type for register in leaves]
-            as_is = current_cost(index, interiors)
-            if as_is is None:
-                continue
-            best, splits = model.chain_order(types)
-            if best < as_is:
-                rebuilt[index] = (list(leaves), splits)
-                absorbed.update(interiors)
-                notes.append(
-                    f"reorder: re-associated a {len(leaves)}-factor matmul "
-                    f"chain (est. cost {as_is} -> {best})"
-                )
 
     if not rebuilt:
         if changed:
@@ -398,10 +363,7 @@ def _reorder(plan: Plan, notes: List[str], model: CostModel) -> Plan:
 
     def build(factors: list, splits, i: int, j: int) -> Tuple[int, MatrixType]:
         if i == j:
-            factor = factors[i]
-            if isinstance(factor, _OnesLeaf):
-                return emit(PlanOp("ones_type", (), type=factor.type)), factor.type
-            return remap[factor], _factor_type(ops, factor)
+            return remap[factors[i]], ops[factors[i]].type
         at = splits[(i, j)]
         left, left_type = build(factors, splits, i, at)
         right, right_type = build(factors, splits, at + 1, j)
@@ -424,9 +386,3 @@ def _reorder(plan: Plan, notes: List[str], model: CostModel) -> Plan:
 
     pinned = tuple(sorted({remap[register] for register in plan.pinned}))
     return Plan(tuple(out), remap[plan.result], pinned, notes=plan.notes)
-
-
-def _factor_type(ops: List[PlanOp], factor) -> MatrixType:
-    if isinstance(factor, _OnesLeaf):
-        return factor.type
-    return ops[factor].type

@@ -45,7 +45,7 @@ any cache.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -535,34 +535,6 @@ def _sparse_batch_chunk_size(instance) -> int:
 # ----------------------------------------------------------------------
 # Ragged-bucket merging (padded batching)
 # ----------------------------------------------------------------------
-#: Plan opcodes through which zero-padding commutes: embedding every input
-#: as the top-left block of a larger matrix (padding with the semiring
-#: zero) yields outputs that are the same embedding of the unpadded
-#: outputs.  This holds exactly when each op only *combines* values —
-#: padding rows/columns contribute semiring zeros, which are neutral for
-#: the sum and annihilating for the product.  Ops that *construct* entries
-#: from dimensions (``ones``, ``identity_*``), count iterations (``loop``,
-#: ``nsum``, ``power``, ``hadamard_power``), multiply along the diagonal
-#: (``diag_product`` — a padded zero annihilates it) or apply arbitrary
-#: pointwise functions (``apply`` — ``f(0)`` need not be ``0``) are
-#: excluded: plans containing them never merge ragged buckets.
-_PADDING_SAFE_OPCODES = frozenset(
-    {
-        "load",
-        "const",
-        "transpose",
-        "diag",
-        "matmul",
-        "add",
-        "hadamard",
-        "scale",
-        "row_sums",
-        "col_sums",
-        "trace",
-        "diag_of_diag",
-    }
-)
-
 #: Largest tolerated padded-entries / true-entries ratio per instance
 #: matrix when merging near-miss buckets: a 15-node instance pads into a
 #: 17-node batch (ratio ~1.28) and one kernel call serves the whole sweep,
@@ -572,11 +544,56 @@ RAGGED_PAD_LIMIT = 2.0
 
 
 def _padding_safe(plan) -> bool:
-    """Whether ``plan`` tolerates zero-padded instances (see above)."""
-    result_type = plan.ops[plan.result].type
-    if result_type is None:
+    """Whether ``plan`` tolerates zero-padded instances.
+
+    Padding embeds every input as the top-left block of a larger matrix
+    whose other entries are the semiring zero.  A plan tolerates it when
+    the top-left block of each value it computes is the unpadded value.
+    Each value carries two flags: whether its padded rows, and its padded
+    columns, hold the zero (an axis of dimension ``1`` is never padded, so
+    it counts as zero).  Inputs and constants are zero on both axes;
+    ``ones`` and the identities have ones in their padding.  ``matmul``
+    sums over its inner axis, so the padded terms vanish only when the
+    left operand's columns or the right operand's rows are zero;
+    ``hadamard`` is zero where either operand is, ``add`` where both are.
+    ``diagonal`` reads the padded corner, zero when either axis is.
+    Loops, ``apply`` (``f(0)`` need not be ``0``), the powers and
+    ``diag_product`` depend on the dimension itself, so a plan holding one
+    never merges ragged buckets; neither does ``Sigma_v A``, which is
+    ``(1^T . 1) x A``.
+    """
+    ops = plan.ops
+    if ops[plan.result].type is None:
         return False
-    return all(op.opcode in _PADDING_SAFE_OPCODES for op in plan.walk_ops())
+    flags: List[Tuple[bool, bool]] = []
+    for op in ops:
+        opcode = op.opcode
+        operands = [flags[register] for register in op.inputs]
+        if opcode in ("load", "const"):
+            rows, cols = True, True
+        elif opcode in ("ones", "ones_type", "identity_of", "identity_sym"):
+            rows, cols = False, False
+        elif opcode == "transpose":
+            cols, rows = operands[0]
+        elif opcode == "matmul":
+            (rows, inner_left), (inner_right, cols) = operands
+            if not (inner_left or inner_right):
+                return False
+        elif opcode == "hadamard":
+            rows, cols = (left or right for left, right in zip(*operands))
+        elif opcode == "add":
+            rows, cols = (left and right for left, right in zip(*operands))
+        elif opcode == "scale":
+            rows, cols = operands[1]
+        elif opcode == "diag":
+            rows = cols = operands[0][0]
+        elif opcode == "diagonal":
+            rows, cols = operands[0][0] or operands[0][1], True
+        else:
+            return False
+        row_symbol, col_symbol = op.type or (None, None)
+        flags.append((rows or row_symbol == "1", cols or col_symbol == "1"))
+    return True
 
 
 def _result_shape(plan, instance) -> tuple:
@@ -745,7 +762,7 @@ def run_plan_batch(
     With ``ragged`` (the default), *near-miss* buckets — same semiring,
     same dimension symbols, sizes within :data:`RAGGED_PAD_LIMIT` of the
     group maximum — are additionally merged into one padded batch when the
-    plan's op mix tolerates it (see :data:`_PADDING_SAFE_OPCODES`): every
+    plan tolerates it (see :func:`_padding_safe`): every
     instance is embedded as the top-left block of a group-maximum matrix
     padded with the semiring zero, the batch executes once, and each result
     is sliced back to its true shape.  A 15/16/17-node sweep then runs as

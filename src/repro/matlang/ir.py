@@ -22,6 +22,7 @@ opcode              meaning (``rK`` are register indices)
 ``identity_of``     the identity matrix with the row count of ``r0``
 ``identity_sym``    the identity matrix of dimension ``symbol``
 ``diag``            ``diag(r0)`` of a column vector
+``diagonal``        the diagonal of the square ``r0``, as a column vector
 ``matmul``          ``r0 . r1``
 ``add``             ``r0 + r1``
 ``hadamard``        ``r0 o r1`` (entrywise product; no core AST node maps
@@ -30,11 +31,6 @@ opcode              meaning (``rK`` are register indices)
 ``scale``           ``r0 x r1`` with ``r0`` of shape ``1 x 1``
 ``apply``           pointwise function ``name`` applied to the inputs
 ``loop``            iterate the nested ``body`` plan (see below)
-``nsum``            ``Sigma_v r0`` with ``v`` not free: ``n`` copies summed
-``row_sums``        ``Sigma_v (r0 . v)``
-``col_sums``        ``Sigma_v (v^T . r0)``
-``trace``           ``Sigma_v (v^T . r0 . v)``
-``diag_of_diag``    ``Sigma_v (v^T.r0.v) x (v.v^T)``
 ``diag_product``    ``Pi-o_v (v^T . r0 . v)``
 ``power``           ``Pi_v r0`` with ``v`` not free: ``r0^n`` by squaring
 ``hadamard_power``  ``Pi-o_v r0`` with ``v`` not free: entrywise power
@@ -131,7 +127,7 @@ A ``for`` loop whose accumulator ``X`` is a vector or a scalar (its type
 has a ``1`` dimension) and whose body is *affine* in ``X`` also runs as
 lanes: every iteration ``v`` is a map ``X -> M_v . X + b_v``.  The body
 plan is classified op by op.  A value that depends on ``X`` stays linear
-through ``transpose``, ``diag``, the fused sums, ``add``, and a product
+through ``transpose``, ``diag``, ``diagonal``, ``add``, and a product
 (``matmul``, ``hadamard``, ``scale``) with an ``X``-free operand; ``ones``
 and ``identity_of`` read only a shape, so they are ``X``-free.  A product of
 two ``X``-dependent values, an ``apply``, ``power``, ``hadamard_power`` or
@@ -253,7 +249,7 @@ class PlanOp:
     #: Constant payload (``const``) or capture index (``capture``).
     value: Any = None
     #: Dimension symbol for symbol-parameterised ops (``identity_sym``,
-    #: ``nsum``, ``power``, ``hadamard_power``) and the iteration symbol of
+    #: ``power``, ``hadamard_power``) and the iteration symbol of
     #: ``loop`` ops.
     symbol: Optional[str] = None
     #: ``loop`` only: ``"for"``, ``"sum"``, ``"hadamard"`` or ``"product"``.
@@ -438,7 +434,7 @@ class Plan:
 #: Version tag of the serialized-plan payload.  Bumped whenever the
 #: structural encoding below changes shape, so a worker from a different
 #: build rejects the payload instead of mis-executing it.
-PLAN_WIRE_VERSION = 1
+PLAN_WIRE_VERSION = 2
 
 #: The ``PlanOp`` fields carried on the wire, in payload order.
 _OP_WIRE_FIELDS = (
@@ -748,21 +744,16 @@ def _run(
             if shape[1] != 1:
                 raise EvaluationError(f"diag expects a column vector, got shape {shape}")
             append(backend.diag(operand))
+        elif opcode == "diagonal":
+            operand = values[op.inputs[0]]
+            rows, cols = backend.batch_shape(operand)
+            if rows != cols:
+                raise EvaluationError(f"diagonal expects a square matrix, got shape {(rows, cols)}")
+            append(backend.diagonal(operand))
         elif opcode == "apply":
             append(_run_apply(op, values, runtime, backend))
         elif opcode == "loop":
             append(_run_loop(op, values, runtime, backend, frame))
-        elif opcode == "nsum":
-            count = runtime.dimension(op.symbol, "a fused quantifier")
-            append(backend.nsum(values[op.inputs[0]], count))
-        elif opcode == "row_sums":
-            append(backend.row_sums(values[op.inputs[0]]))
-        elif opcode == "col_sums":
-            append(backend.col_sums(values[op.inputs[0]]))
-        elif opcode == "trace":
-            append(backend.trace(values[op.inputs[0]]))
-        elif opcode == "diag_of_diag":
-            append(backend.diag_of_diagonal(values[op.inputs[0]]))
         elif opcode == "diag_product":
             append(backend.diag_product(values[op.inputs[0]]))
         elif opcode == "power":
@@ -1138,19 +1129,20 @@ def _per_lane(value: Any, copies: int) -> Any:
     A ``(B, r, c)`` stack becomes ``(copies * B, r, c)`` with lane
     ``i * B + b`` holding instance ``b``; a single ``(r, c)`` matrix
     becomes a stride-0 ``(copies, r, c)`` view (kernels never mutate
-    their operands).
+    their operands).  Every lane slab is C-contiguous, as ``np.tile``
+    makes it: float64 stacked ``matmul`` rounds by operand layout, so a
+    transposed capture would otherwise give one instance and a batch of
+    it different last bits.
     """
     if value.ndim == 2:
-        return np.broadcast_to(value, (copies,) + value.shape)
+        return np.broadcast_to(np.ascontiguousarray(value), (copies,) + value.shape)
     if copies == 1:
-        return value
+        return np.ascontiguousarray(value)
     return np.tile(value, (copies, 1, 1))
 
 
 #: Opcodes linear in their one operand on every semiring.
-_LINEAR_OPCODES = frozenset(
-    {"transpose", "diag", "nsum", "row_sums", "col_sums", "trace", "diag_of_diag"}
-)
+_LINEAR_OPCODES = frozenset({"transpose", "diag", "diagonal"})
 #: Opcodes that read only their operand's shape.
 _SHAPE_OPCODES = frozenset({"ones", "identity_of"})
 #: Products, linear in each operand separately.

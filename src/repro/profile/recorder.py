@@ -34,12 +34,8 @@ _OP_CLASSES: Dict[str, str] = {
     "scale": "elementwise",
     "transpose": "elementwise",
     "diag": "elementwise",
-    "row_sums": "elementwise",
-    "col_sums": "elementwise",
-    "trace": "elementwise",
-    "diag_of_diag": "elementwise",
+    "diagonal": "elementwise",
     "diag_product": "elementwise",
-    "nsum": "elementwise",
     "apply": "elementwise",
     "load": "construct",
     "const": "construct",

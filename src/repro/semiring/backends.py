@@ -47,10 +47,11 @@ inputs (instance matrices, pointwise-function operands) enter through
 ``from_dense`` and results leave through ``to_dense``, so equivalence with
 the interpreted tree-walk holds entrywise regardless of the representation.
 
-The fused whole-array operations (``row_sums`` …, ``power``) mirror the
-fused plan ops emitted by :mod:`repro.matlang.rewrites`; their generic dense
-implementations are expressed through the kernel API, so they are correct
-over any commutative semiring.
+The whole-array operations (``diagonal``, ``diag_product``, ``power``,
+``hadamard_power``) mirror plan ops of the same names.  Their generic
+implementations are expressed through the rest of the protocol, so they are
+correct over any commutative semiring; backends override them where a
+direct form is cheaper.
 
 Backends are selected by name through :func:`backend_for`;
 :func:`register_backend` installs custom representations (the same
@@ -111,7 +112,7 @@ class ExecutionBackend:
     """Base class spelling out the value protocol of the plan executor.
 
     Concrete backends override the representation hooks and the combining
-    operations; the derived helpers (``constant``, ``nsum``, ``power``,
+    operations; the derived helpers (``constant``, ``diagonal``, ``power``,
     ``hadamard_power``) have generic implementations in terms of the rest.
     """
 
@@ -189,36 +190,15 @@ class ExecutionBackend:
     def diag(self, column: Any) -> Any:
         raise NotImplementedError
 
-    # -- fused whole-array operations ------------------------------------
-    def row_sums(self, value: Any) -> Any:
-        """``Sigma_v (e . v)``: the column vector of row sums."""
-        return self.matmul(value, self.ones(self.batch_shape(value)[1], 1))
-
-    def col_sums(self, value: Any) -> Any:
-        """``Sigma_v (v^T . e)``: the row vector of column sums."""
-        return self.matmul(self.ones(1, self.batch_shape(value)[0]), value)
-
-    def trace(self, value: Any) -> Any:
-        """``Sigma_v (v^T . e . v)``: the semiring sum of the diagonal."""
-        raise NotImplementedError
-
-    def diag_of_diagonal(self, value: Any) -> Any:
-        """``Sigma_v (v^T.e.v) x (v.v^T)``: zero out everything off-diagonal."""
-        raise NotImplementedError
+    # -- whole-array operations ------------------------------------------
+    def diagonal(self, value: Any) -> Any:
+        """The diagonal of a square value, as a column: ``(e o I) . 1``."""
+        size = self.batch_shape(value)[0]
+        return self.matmul(self.hadamard(value, self.identity(size)), self.ones(size, 1))
 
     def diag_product(self, value: Any) -> Any:
         """``Pi-o_v (v^T . e . v)``: the semiring product of the diagonal."""
         raise NotImplementedError
-
-    def nsum(self, value: Any, count: int) -> Any:
-        """``Sigma_v e`` with ``v`` not free in ``e``: ``count`` copies added up.
-
-        By distributivity this is ``(1 + ... + 1) * e``, i.e. a scale by the
-        canonical embedding of ``count``.
-        """
-        return self.scale(
-            self.constant(self.semiring.from_int(count)), value
-        )
 
     def _iterated(self, value: Any, count: int, combine: Callable[[Any, Any], Any]) -> Any:
         """``value`` combined with itself ``count`` times, by squaring.
@@ -314,14 +294,9 @@ class DenseExecutionBackend(ExecutionBackend):
     def diag(self, column: np.ndarray) -> np.ndarray:
         return self.kernels.diag(np.ascontiguousarray(column))
 
-    # -- fused operations ------------------------------------------------
-    def trace(self, value: np.ndarray) -> np.ndarray:
-        total = self.kernels.sum(value.diagonal().copy())
-        return self.from_dense(scalar(self.semiring, total))
-
-    def diag_of_diagonal(self, value: np.ndarray) -> np.ndarray:
-        column = value.diagonal().copy().reshape(-1, 1)
-        return self.kernels.diag(column)
+    # -- whole-array operations ------------------------------------------
+    def diagonal(self, value: np.ndarray) -> np.ndarray:
+        return value.diagonal().copy().reshape(-1, 1)
 
     def diag_product(self, value: np.ndarray) -> np.ndarray:
         total = self.kernels.product(value.diagonal().copy())
@@ -437,17 +412,14 @@ class BatchedDenseBackend(ExecutionBackend):
         matrix[:, indices, indices] = column[:, :, 0]
         return matrix
 
-    # -- fused operations ------------------------------------------------
+    # -- whole-array operations ------------------------------------------
     def _diagonals(self, value: np.ndarray) -> np.ndarray:
         # (B, n) copy: np.diagonal returns a read-only view and the int64 /
         # object reductions index into it per entry.
         return value.diagonal(axis1=1, axis2=2).copy()
 
-    def trace(self, value: np.ndarray) -> np.ndarray:
-        return self.kernels.batch_sum(self._diagonals(value))
-
-    def diag_of_diagonal(self, value: np.ndarray) -> np.ndarray:
-        return self.diag(self._diagonals(value)[:, :, None])
+    def diagonal(self, value: np.ndarray) -> np.ndarray:
+        return self._diagonals(value)[:, :, None]
 
     def diag_product(self, value: np.ndarray) -> np.ndarray:
         return self.kernels.batch_product(self._diagonals(value))
@@ -585,32 +557,9 @@ class SparseBooleanBackend(_SparseCSRBackend):
             _sparse.diags(entries.astype(np.float64), format="csr")
         )
 
-    # -- fused operations ------------------------------------------------
-    def row_sums(self, value: Any) -> Any:
-        hit = np.asarray(value.sum(axis=1)).reshape(-1, 1) != 0
-        return self.from_dense(hit)
-
-    def col_sums(self, value: Any) -> Any:
-        hit = np.asarray(value.sum(axis=0)).reshape(1, -1) != 0
-        return self.from_dense(hit)
-
-    def trace(self, value: Any) -> Any:
-        return self.constant(bool(np.any(value.diagonal() != 0)))
-
-    def diag_of_diagonal(self, value: Any) -> Any:
-        entries = value.diagonal() != 0
-        return self._canonical(
-            _sparse.diags(entries.astype(np.float64), format="csr")
-        )
-
+    # -- whole-array operations ------------------------------------------
     def diag_product(self, value: Any) -> Any:
         return self.constant(bool(np.all(value.diagonal() != 0)))
-
-    def nsum(self, value: Any, count: int) -> Any:
-        # Boolean addition is idempotent: n >= 1 copies of e are just e.
-        if count >= 1:
-            return value.copy()
-        return self._empty(*value.shape)
 
     def hadamard_power(self, value: Any, count: int) -> Any:
         if count < 1:
@@ -650,10 +599,8 @@ class SparseTropicalBackend(_SparseCSRBackend):
             zero = None
         if zero == np.inf:
             self._minimum = np.minimum
-            self._reduce = np.min
         elif zero == -np.inf:
             self._minimum = np.maximum
-            self._reduce = np.max
         else:
             raise SemiringError(
                 f"the sparse CSR backends support the boolean and tropical "
@@ -813,29 +760,7 @@ class SparseTropicalBackend(_SparseCSRBackend):
             (entries[stored], (stored, stored)), shape=(size, size)
         )
 
-    # -- fused operations ------------------------------------------------
-    def _axis_reduced(self, csr) -> np.ndarray:
-        """Per-row semiring sum (min/max of stored entries; empty row = zero)."""
-        result = np.full(csr.shape[0], self._zero, dtype=np.float64)
-        if csr.nnz:
-            lengths = np.diff(csr.indptr)
-            occupied = np.flatnonzero(lengths)
-            # reduceat segments between consecutive occupied-row starts span
-            # exactly one non-empty row each (empty rows contribute no data).
-            result[occupied] = self._minimum.reduceat(csr.data, csr.indptr[occupied])
-        return result
-
-    def row_sums(self, value: Any) -> Any:
-        sums = self._axis_reduced(value.tocsr())
-        stored = np.flatnonzero(sums != self._zero)
-        return _sparse.csr_matrix(
-            (sums[stored], (stored, np.zeros(len(stored), dtype=np.int64))),
-            shape=(value.shape[0], 1),
-        )
-
-    def col_sums(self, value: Any) -> Any:
-        return self.row_sums(self.transpose(value)).transpose().tocsr()
-
+    # -- whole-array operations ------------------------------------------
     def _diagonal(self, value: Any) -> np.ndarray:
         # scipy's .diagonal() fills missing cells with numeric 0 — wrong
         # here, where missing means the semiring zero (infinity).
@@ -844,17 +769,6 @@ class SparseTropicalBackend(_SparseCSRBackend):
         hits = coo.row == coo.col
         diagonal[coo.row[hits]] = coo.data[hits]
         return diagonal
-
-    def trace(self, value: Any) -> Any:
-        return self.constant(float(self._reduce(self._diagonal(value))))
-
-    def diag_of_diagonal(self, value: Any) -> Any:
-        diagonal = self._diagonal(value)
-        stored = np.flatnonzero(diagonal != self._zero)
-        size = min(value.shape)
-        return _sparse.csr_matrix(
-            (diagonal[stored], (stored, stored)), shape=(size, size)
-        )
 
     def diag_product(self, value: Any) -> Any:
         # One implicit (infinite) diagonal entry annihilates the product —
@@ -886,8 +800,8 @@ class _BatchedSparseCSRBackend(_SparseCSRBackend):
     the block-aware overrides below.
 
     Scalar results are ``(B, B)`` diagonal matrices — the block-diagonal
-    embedding of B per-instance ``1 x 1`` values — so ``trace`` feeding
-    ``scale`` composes exactly like it does per instance.
+    embedding of B per-instance ``1 x 1`` values — so a ``1^T . diagonal``
+    feeding ``scale`` composes exactly like it does per instance.
     """
 
     name = "sparse-batched"
@@ -1004,27 +918,6 @@ class BatchedSparseBooleanBackend(_BatchedSparseCSRBackend, SparseBooleanBackend
             shape=operand.shape,
         )
 
-    def row_sums(self, value: Any) -> Any:
-        rows, _ = self.batch_shape(value)
-        hit = np.flatnonzero(np.asarray(value.sum(axis=1)).ravel())
-        return _sparse.csr_matrix(
-            (np.ones(len(hit), dtype=np.float64), (hit, hit // max(rows, 1))),
-            shape=(value.shape[0], self.batch_size),
-        )
-
-    def col_sums(self, value: Any) -> Any:
-        _, cols = self.batch_shape(value)
-        hit = np.flatnonzero(np.asarray(value.sum(axis=0)).ravel())
-        return _sparse.csr_matrix(
-            (np.ones(len(hit), dtype=np.float64), (hit // max(cols, 1), hit)),
-            shape=(self.batch_size, value.shape[1]),
-        )
-
-    def trace(self, value: Any) -> Any:
-        rows, _ = self.batch_shape(value)
-        per_block = (value.diagonal() != 0).reshape(self.batch_size, rows)
-        return self._scalar_diagonal(np.any(per_block, axis=1).astype(np.float64))
-
     def diag_product(self, value: Any) -> Any:
         rows, _ = self.batch_shape(value)
         per_block = (value.diagonal() != 0).reshape(self.batch_size, rows)
@@ -1048,24 +941,6 @@ class BatchedSparseTropicalBackend(_BatchedSparseCSRBackend, SparseTropicalBacke
             (coo.data[keep] + block[keep], (coo.row[keep], coo.col[keep])),
             shape=operand.shape,
         )
-
-    def row_sums(self, value: Any) -> Any:
-        rows, _ = self.batch_shape(value)
-        sums = self._axis_reduced(value.tocsr())
-        stored = np.flatnonzero(sums != self._zero)
-        return _sparse.csr_matrix(
-            (sums[stored], (stored, stored // max(rows, 1))),
-            shape=(value.shape[0], self.batch_size),
-        )
-
-    def trace(self, value: Any) -> Any:
-        rows, _ = self.batch_shape(value)
-        per_block = self._diagonal(value).reshape(self.batch_size, rows)
-        if rows == 0:
-            values = np.full(self.batch_size, self._zero, dtype=np.float64)
-        else:
-            values = self._reduce(per_block, axis=1)
-        return self._scalar_diagonal(values)
 
     def diag_product(self, value: Any) -> Any:
         rows, _ = self.batch_shape(value)
@@ -1327,12 +1202,8 @@ _ELEMENTWISE_OPCODES = frozenset(
         "scale",
         "transpose",
         "diag",
-        "row_sums",
-        "col_sums",
-        "trace",
-        "diag_of_diag",
+        "diagonal",
         "diag_product",
-        "nsum",
         "apply",
     }
 )
@@ -1431,14 +1302,10 @@ class _PlanCoster:
                 inner = self.inner_weight(ops, op)
                 steps = max(1, int(self.weight(op.symbol)).bit_length())
                 d = self.fill_ladder(out[op.inputs[0]], inner, steps)[-1]
-            elif opcode in ("row_sums", "col_sums"):
-                d = min(1.0, out[op.inputs[0]] * self.weight(None))
-            elif opcode in ("diag", "diag_of_diag"):
+            elif opcode == "diag":
                 d = out[op.inputs[0]] / max(rows, 1)
-            elif opcode in ("trace", "diag_product"):
+            elif opcode == "diag_product":
                 d = 1.0
-            elif opcode in ("nsum", "hadamard_power", "transpose"):
-                d = out[op.inputs[0]]
             elif op.inputs:
                 d = out[op.inputs[0]]
             else:

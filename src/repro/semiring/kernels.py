@@ -91,9 +91,9 @@ batched plan executor (:func:`repro.matlang.ir.execute_plan_batch`):
     ``batch_hadamard`` against the factors broadcast to the stack's shape;
     the primitive backends apply their ufunc with numpy broadcasting instead,
     which skips building that view and gives the same bits.
-``batch_sum(rows)`` / ``batch_product(rows)``
-    Row-wise semiring reductions of a ``(B, k)`` array into a ``(B, 1, 1)``
-    stack of scalars (used by the fused ``trace`` / ``diag_product`` ops).
+``batch_product(rows)``
+    Row-wise semiring product of a ``(B, k)`` array into a ``(B, 1, 1)``
+    stack of scalars (used by the fused ``diag_product`` op).
 
 Batched inputs may be broadcast views (stride-0 leading axis); no kernel
 mutates its operands, so sharing one instance across a batch is free.  The
@@ -365,13 +365,6 @@ class KernelBackend:
         _check_batch_scale(factors, stack)
         return self.batch_hadamard(np.broadcast_to(factors, stack.shape), stack)
 
-    def batch_sum(self, rows: np.ndarray) -> np.ndarray:
-        """Semiring sum along the last axis of ``(B, k)`` into ``(B, 1, 1)``."""
-        result = np.empty((rows.shape[0], 1, 1), dtype=self.dtype)
-        for index in range(rows.shape[0]):
-            result[index, 0, 0] = self.sum(rows[index])
-        return result
-
     def batch_product(self, rows: np.ndarray) -> np.ndarray:
         """Semiring product along the last axis of ``(B, k)`` into ``(B, 1, 1)``."""
         result = np.empty((rows.shape[0], 1, 1), dtype=self.dtype)
@@ -531,9 +524,6 @@ class Float64FieldKernels(KernelBackend):
         _check_batch_scale(factors, stack)
         return factors * stack
 
-    def batch_sum(self, rows: np.ndarray) -> np.ndarray:
-        return rows.sum(axis=1).reshape(-1, 1, 1)
-
     def batch_product(self, rows: np.ndarray) -> np.ndarray:
         return rows.prod(axis=1).reshape(-1, 1, 1)
 
@@ -594,9 +584,6 @@ class BooleanKernels(KernelBackend):
     def batch_scale(self, factors: np.ndarray, stack: np.ndarray) -> np.ndarray:
         _check_batch_scale(factors, stack)
         return factors & stack
-
-    def batch_sum(self, rows: np.ndarray) -> np.ndarray:
-        return rows.any(axis=1).reshape(-1, 1, 1)
 
     def batch_product(self, rows: np.ndarray) -> np.ndarray:
         return rows.all(axis=1).reshape(-1, 1, 1)
@@ -784,8 +771,8 @@ class Int64Kernels(KernelBackend):
         # wrap-free.  When it fails, each slice re-enters the 2-D kernel,
         # which refines per row and falls back to the exact fold — so one
         # outlier instance degrades only its own slice, never the batch's
-        # correctness.  (batch_sum / batch_product stay on the inherited
-        # exact-fold defaults for the same reason as _reduction_array.)
+        # correctness.  (batch_product stays on the inherited exact-fold
+        # default for the same reason as _reduction_array.)
         if inner * self._max_abs(left) * self._max_abs(right) <= self._INT64_MAX:
             return left @ right
         batch, rows = left.shape[0], left.shape[1]
@@ -952,11 +939,6 @@ class TropicalKernels(KernelBackend):
     def batch_scale(self, factors: np.ndarray, stack: np.ndarray) -> np.ndarray:
         _check_batch_scale(factors, stack)
         return factors + stack
-
-    def batch_sum(self, rows: np.ndarray) -> np.ndarray:
-        if rows.shape[1] == 0:
-            return np.full((rows.shape[0], 1, 1), self._zero, dtype=np.float64)
-        return self._reduce(rows, axis=1).reshape(-1, 1, 1)
 
     def batch_product(self, rows: np.ndarray) -> np.ndarray:
         # An empty product is the semiring one (0.0) — numpy's empty-axis

@@ -25,9 +25,9 @@ def _as_expr(value: ExpressionLike) -> Expression:
 def trace(matrix: ExpressionLike, iterator: str = "_tv") -> Expression:
     """``tr(A) = Sigma v. v^T . A . v`` (sum-MATLANG).
 
-    The plan compiler recognises this body shape and fuses the whole
-    quantifier into a single ``trace`` kernel op
-    (:mod:`repro.matlang.rewrites`), so evaluation never unrolls the loop.
+    The plan compiler lowers the quantifier as a contraction
+    (:mod:`repro.matlang.contract`), ``1^T . diagonal(A)``, so evaluation
+    never unrolls the loop.
     """
     expr = _as_expr(matrix)
     v = var(iterator)

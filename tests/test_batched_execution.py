@@ -119,6 +119,18 @@ GUARD_PLANS = {
         Plan((PlanOp("load", name="A"), PlanOp("diag", (0,))), 1),
         "column vector",
     ),
+    "diagonal-of-a-non-square": (
+        Plan(
+            (
+                PlanOp("load", name="A"),
+                PlanOp("ones", (0,)),
+                PlanOp("matmul", (0, 1)),
+                PlanOp("diagonal", (2,)),
+            ),
+            3,
+        ),
+        "square matrix",
+    ),
     "iterator-outside-a-loop": (Plan((PlanOp("iterator"),), 0), "iterator referenced"),
     "accumulator-outside-a-loop": (Plan((PlanOp("accumulator"),), 0), "accumulator referenced"),
     "tag-missing-from-the-map": (
@@ -187,11 +199,9 @@ class TestBatchedKernels:
     def test_batch_reductions_match_scalar_folds(self, semiring):
         kernels = semiring.kernels
         rows = _stack_for(semiring, 6, 5, 1, base_seed=7)[:, :, 0]
-        sums = kernels.batch_sum(rows.copy())
         products = kernels.batch_product(rows.copy())
-        assert sums.shape == (6, 1, 1) and products.shape == (6, 1, 1)
+        assert products.shape == (6, 1, 1)
         for index in range(6):
-            assert semiring.close_to(sums[index, 0, 0], kernels.sum(rows[index].copy()))
             assert semiring.close_to(
                 products[index, 0, 0], kernels.product(rows[index].copy())
             )
@@ -254,12 +264,8 @@ class TestBatchedDenseBackend:
 
         operations = {
             "transpose": (lambda b, value: b.transpose(value), stack),
-            "row_sums": (lambda b, value: b.row_sums(value), stack),
-            "col_sums": (lambda b, value: b.col_sums(value), stack),
-            "trace": (lambda b, value: b.trace(value), stack),
-            "diag_of_diagonal": (lambda b, value: b.diag_of_diagonal(value), stack),
+            "diagonal": (lambda b, value: b.diagonal(value), stack),
             "diag_product": (lambda b, value: b.diag_product(value), stack),
-            "nsum": (lambda b, value: b.nsum(value, 3), stack),
             "power": (lambda b, value: b.power(value, 3), stack),
             "hadamard_power": (lambda b, value: b.hadamard_power(value, 3), stack),
             "diag": (lambda b, value: b.diag(value), column),
@@ -620,6 +626,44 @@ class TestSharding:
             assert result.shape == (1, 1)
             assert np.array_equal(result, reference)
 
+    @pytest.mark.parametrize(
+        "expression, merges",
+        [
+            (ssum("_v", var("A") @ var("_v")), True),
+            (trace("A"), True),
+            (ssum("_v", (var("_v").T @ var("A") @ var("_v")) * (var("_v") @ var("_v").T)), True),
+            (ssum("_v", var("A")), False),
+        ],
+        ids=["row-sums", "trace", "diagonal", "n-copies"],
+    )
+    def test_ragged_merge_follows_the_padding_of_each_axis(self, monkeypatch, expression, merges):
+        """``A . 1``, ``1^T . diagonal(A)`` and ``diag(diagonal(A))`` meet the
+        padding of their ones vector only through a zero axis of ``A``;
+        ``(1^T . 1) x A`` would scale each instance by the padded size."""
+        import repro.matlang.evaluator as evaluator_module
+
+        calls = []
+        original = evaluator_module.execute_plan_batch
+
+        def counting(plan, backend, instances, functions, **kwargs):
+            calls.append(len(list(instances)))
+            return original(plan, backend, instances, functions, **kwargs)
+
+        monkeypatch.setattr(evaluator_module, "execute_plan_batch", counting)
+        for semiring in (NATURAL, MIN_PLUS):
+            instances = [
+                _instance_for(semiring, (15, 16, 17)[seed % 3], seed) for seed in range(6)
+            ]
+            calls.clear()
+            results = run_plan_batch(
+                compile_expression(expression, instances[0].schema),
+                instances,
+                default_registry(),
+            )
+            assert calls == ([6] if merges else [2, 2, 2]), semiring.name
+            for instance, result in zip(instances, results):
+                assert np.array_equal(result, Evaluator(instance).run(expression))
+
     def test_ragged_merge_respects_chunk_size(self, monkeypatch):
         import repro.matlang.evaluator as evaluator_module
 
@@ -705,14 +749,10 @@ class TestSparseTropicalBackend:
             assert np.array_equal(actual, expected), (semiring.name, name)
         singles = [
             ("transpose", lambda b, x: b.transpose(x)),
-            ("row_sums", lambda b, x: b.row_sums(x)),
-            ("col_sums", lambda b, x: b.col_sums(x)),
-            ("trace", lambda b, x: b.trace(x)),
-            ("diag_of_diagonal", lambda b, x: b.diag_of_diagonal(x)),
+            ("diagonal", lambda b, x: b.diagonal(x)),
             ("diag_product", lambda b, x: b.diag_product(x)),
             ("power3", lambda b, x: b.power(x, 3)),
             ("hadamard_power3", lambda b, x: b.hadamard_power(x, 3)),
-            ("nsum", lambda b, x: b.nsum(x, 4)),
         ]
         for name, operation in singles:
             expected = dense.to_dense(operation(dense, left.copy()))
@@ -829,14 +869,8 @@ class TestBatchedSparseBackend:
 
         operations = {
             "transpose": (lambda b, value: b.transpose(value), stack, slices),
-            "row_sums": (lambda b, value: b.row_sums(value), stack, slices),
-            "col_sums": (lambda b, value: b.col_sums(value), stack, slices),
-            "trace": (lambda b, value: b.trace(value), stack, slices),
-            "diag_of_diagonal": (
-                lambda b, value: b.diag_of_diagonal(value), stack, slices
-            ),
+            "diagonal": (lambda b, value: b.diagonal(value), stack, slices),
             "diag_product": (lambda b, value: b.diag_product(value), stack, slices),
-            "nsum": (lambda b, value: b.nsum(value, 3), stack, slices),
             "power": (lambda b, value: b.power(value, 3), stack, slices),
             "hadamard_power": (
                 lambda b, value: b.hadamard_power(value, 3), stack, slices
@@ -886,13 +920,14 @@ class TestBatchedSparseBackend:
                     name,
                 )
         # Scale by a per-block scalar (a trace): each block is scaled by its
-        # own factor — the batched analogue of ``scale(trace(X), Y)``.
-        factor = batched.trace(left)
+        # own factor — the batched analogue of ``scale(1^T . diagonal(X), Y)``.
+        def trace(backend, value):
+            return backend.matmul(backend.ones(1, 5), backend.diagonal(value))
+
+        factor = trace(batched, left)
         expected = [
             single.to_dense(
-                single.scale(
-                    single.trace(single.from_dense(one)), single.from_dense(other)
-                )
+                single.scale(trace(single, single.from_dense(one)), single.from_dense(other))
             )
             for one, other in zip(lefts, rights)
         ]
@@ -948,6 +983,41 @@ class TestBatchedSparseBackend:
         result = batched.to_dense(batched.power(stack, 3))
         for index in range(batch):
             assert np.array_equal(result[index], empty[index])
+
+
+# ----------------------------------------------------------------------
+# The diagonal primitive on every backend
+# ----------------------------------------------------------------------
+def _diagonal_backends(semiring):
+    """Every backend family that holds ``semiring``: name, backend, batch."""
+    backends = [("dense", DenseExecutionBackend(semiring), None)]
+    backends.append(("batched dense", BatchedDenseBackend(semiring, 3), 3))
+    if semiring in SPARSE_BATCH_SEMIRINGS and HAVE_SCIPY:
+        from repro.semiring.backends import batched_sparse_backend
+
+        backends.append(("sparse", backend_for(semiring, "sparse"), None))
+        backends.append(("block-diagonal CSR", batched_sparse_backend(semiring, 3), 3))
+    return backends
+
+
+@pytest.mark.parametrize(
+    "semiring", [INTEGER, REAL, BOOLEAN, MIN_PLUS, MAX_PLUS, PROVENANCE], ids=lambda s: s.name
+)
+def test_diagonal_matches_numpy_on_every_backend(semiring):
+    kernels = semiring.kernels
+    if semiring in SPARSE_BATCH_SEMIRINGS:
+        # Sparse values: implicit (zero) entries on the diagonal too.
+        matrices = [kernels.ensure_storage(_sparse_matrix(semiring, 5, 5, seed, 0.5)) for seed in range(3)]
+    else:
+        matrices = list(_stack_for(semiring, 3, 5, 5, base_seed=11))
+    for name, backend, batch in _diagonal_backends(semiring):
+        if batch is None:
+            results = [backend.to_dense(backend.diagonal(backend.from_dense(matrix))) for matrix in matrices]
+        else:
+            results = backend.to_dense(backend.diagonal(backend.stack_instance_matrices(matrices)))
+        for matrix, result in zip(matrices, results):
+            expected = np.diagonal(matrix).reshape(-1, 1)
+            assert _entrywise_equal(np.asarray(result), expected), (semiring.name, name)
 
 
 # ----------------------------------------------------------------------

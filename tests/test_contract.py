@@ -34,18 +34,14 @@ from hypothesis import strategies as st
 from repro.exceptions import SemiringError
 from repro.experiments.harness import CompiledWorkload
 from repro.kalgebra.matlang_to_ra import evaluate_via_relational
-from repro.matlang import ir, rewrites
+from repro.matlang import ir
 from repro.matlang.builder import apply, forloop, hint, lit, prod, ssum, var
-from repro.matlang.compiler import compile_expression, lower
+from repro.matlang.compiler import compile_expression
 from repro.matlang.cost import elimination_order
 from repro.matlang.evaluator import Evaluator, evaluate
-from repro.matlang.functions import default_registry
 from repro.matlang.instance import Instance
-from repro.matlang.ir import execute_plan
 from repro.matlang.schema import Schema
-from repro.matlang.typecheck import annotate
 from repro.semiring import BOOLEAN, INTEGER, MAX_PLUS, MIN_PLUS, NATURAL, REAL
-from repro.semiring.backends import backend_for
 from repro.semiring.provenance import PROVENANCE, Polynomial
 from repro.service import Engine
 from repro.stdlib.graphs import four_clique_count, transitive_closure_floyd_warshall, triangle_count
@@ -387,8 +383,9 @@ def test_contractions_agree_with_the_tree_walk(semiring, program, n, m, seed):
 
 
 def _stored_real_nest():
-    """A four-deep nest on which REAL ``run_batch`` and ``evaluate`` differ
-    by one ulp at ``n = m = 2``, seed 0 (drawn by the test above)."""
+    """A four-deep nest on which REAL ``run_batch`` and ``evaluate`` differed
+    by one ulp at ``n = m = 2``, seed 0 (drawn by the test above), while lane
+    captures kept the layout of a transposed value."""
     s0, s1 = hint(var("_s0"), "alpha", "1"), hint(var("_s1"), "alpha", "1")
     s2, s3 = hint(var("_s2"), "beta", "1"), hint(var("_s3"), "beta", "1")
     A, C = var("A"), var("C")
@@ -406,11 +403,6 @@ def _stored_real_nest():
     return Program(expression, bound=1458.0, lowered=True, sum_loops=1, relational=True)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 4: float64 stacked matmul rounds by operand layout",
-)
 def test_stored_real_nest_agrees_bitwise_across_paths():
     _check(REAL, _stored_real_nest(), 2, 2, 0)
 
@@ -677,55 +669,64 @@ def test_engines_agree_bitwise_and_raise_alike():
 
 
 # ----------------------------------------------------------------------
-# Which rules of rewrites.py the contraction subsumes
+# The sum rules the contraction replaced
 # ----------------------------------------------------------------------
 _v, _u, _A, _B, _s = var("v"), var("u"), var("A"), var("B"), var("s")
-#: One canonical body per row of the Sigma table in rewrites.py, and
-#: whether the contraction lowers it loop-free on its own.
+#: One body per ``Sigma_v`` shape a rewrite rule used to fuse (named after
+#: the rule or the fused opcode it emitted), and the ops a warm
+#: ``evaluate`` of its contraction runs at ``n = 16``.
 RULE_ROWS = {
-    "nsum": (_A, True),
-    "basis v": (_v, True),
-    "basis v^T": (_v.T, True),
-    "selector v.v^T": (_v @ _v.T, True),
-    "(v.v^T).e": (_v @ _v.T @ _A, True),
-    "(e.v).v^T": (_A @ _v @ _v.T, True),
-    "row_sums e.v": (_A @ _v, True),
-    "col_sums v^T.e": (_v.T @ _A, True),
-    "trace v^T.e.v": (_v.T @ _A @ _v, True),
-    "diag_of_diag": ((_v.T @ _A @ _v) * (_v @ _v.T), True),
-    "diag of a column": ((_v.T @ _u) * (_v @ _v.T), True),
-    "diag of a row": ((_u.T @ _v) * (_v @ _v.T), True),
-    "s x (v.v^T)": (_s * (_v @ _v.T), True),
-    "(Sigma s) x m": ((_v.T @ _A @ _v) * _B, True),
-    "s x (Sigma m)": (_s * (_A @ _v), True),
-    # A sum of two matrix terms is outside the contraction fragment.
-    "a + b": (_A @ _v + _B @ _v, False),
-    "nested total": (ssum("w", _v.T @ _A @ var("w")), True),
+    "nsum": (_A, 2),
+    # The inner quantifier rebinds v: the nest stops there.
+    "nsum of a shadowing Sigma": (ssum("v", _v.T @ _A @ _v), 4),
+    "basis v": (_v, 0),
+    "basis v^T": (_v.T, 0),
+    "selector v.v^T": (_v @ _v.T, 0),
+    "(v.v^T).e": (_v @ _v.T @ _A, 1),
+    "(e.v).v^T": (_A @ _v @ _v.T, 1),
+    "row_sums e.v": (_A @ _v, 2),
+    "col_sums v^T.e": (_v.T @ _A, 2),
+    "trace v^T.e.v": (_v.T @ _A @ _v, 3),
+    "diag_of_diag": ((_v.T @ _A @ _v) * (_v @ _v.T), 3),
+    "diag of a column": ((_v.T @ _u) * (_v @ _v.T), 2),
+    "diag of a row": ((_u.T @ _v) * (_v @ _v.T), 2),
+    "s x (v.v^T)": (_s * (_v @ _v.T), 3),
+    "(Sigma s) x m": ((_v.T @ _A @ _v) * _B, 5),
+    "s x (Sigma m)": (_s * (_A @ _v), 4),
+    "a + b": (_A @ _v + _B @ _v, 5),
+    "nested total": (ssum("w", _v.T @ _A @ var("w")), 4),
 }
 
 
-def _run_plan(plan, instance):
-    backend = backend_for(instance.semiring, "dense")
-    value = execute_plan(plan, backend, instance, default_registry())
-    return backend.to_dense(value)
-
-
 @pytest.mark.parametrize("row", sorted(RULE_ROWS))
-def test_contraction_matches_each_sum_rule(monkeypatch, row):
-    body, contracts = RULE_ROWS[row]
-    typed = annotate(ssum("v", body), LANE_SCHEMA)
-    ruled = lower(typed)
-    monkeypatch.setattr(rewrites, "SUM_RULES", [])
-    contracted = lower(typed)
-    assert not _loops(ruled)
-    assert bool(_loops(contracted)) != contracts, contracted.describe()
-    for semiring in (INTEGER, REAL):
-        instance = _lane_instance(semiring, 4, 7)
-        expected, result = _run_plan(ruled, instance), _run_plan(contracted, instance)
-        if semiring is INTEGER:
-            assert np.array_equal(result, expected)
-        else:
-            assert np.allclose(result, expected)
+def test_contraction_matches_each_sum_rule(row):
+    body, warm_ops = RULE_ROWS[row]
+    expression = ssum("v", body)
+    assert not _loops(compile_expression(expression, LANE_SCHEMA))
+    workload = CompiledWorkload(expression, LANE_SCHEMA)
+    for semiring in (INTEGER, BOOLEAN, MIN_PLUS, REAL):
+        # Three instances of one size, then a ragged 15/16/17 batch, which
+        # a padded REAL batch may round differently.
+        for instances in (
+            [_lane_instance(semiring, 4, seed) for seed in range(3)],
+            [_lane_instance(semiring, n, n) for n in (15, 16, 17)],
+        ):
+            ragged = instances[0].dimension("alpha") != instances[1].dimension("alpha")
+            singles = [evaluate(expression, instance) for instance in instances]
+            for single, result, instance in zip(singles, workload.run_batch(instances), instances):
+                reference = _tree_walk(expression, instance)
+                assert _agree(semiring, single, reference, 17.0**2), (row, semiring.name)
+                assert _agree(semiring, result, reference, 17.0**2), (row, semiring.name)
+                assert ragged or np.array_equal(result, single), (row, semiring.name)
+                if semiring in (BOOLEAN, MIN_PLUS) and HAVE_SCIPY:
+                    sparse = Evaluator(instance, backend="sparse").run(expression)
+                    assert np.array_equal(sparse, single), (row, semiring.name)
+    counter = _OpCounter()
+    instance = _lane_instance(INTEGER, 16, 0)
+    for _ in range(2):  # the first run fills the dimension frame
+        counter.ops = 0
+        Evaluator(instance, profiler=counter).run(expression)
+    assert counter.ops <= warm_ops, (row, counter.ops)
 
 
 def test_lane_budget_does_not_change_a_contraction():

@@ -355,14 +355,10 @@ def test_frames_agree_across_sizes_and_instances(engine, semiring, program, seed
                 assert np.array_equal(result, single), (path, n, expression)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 4: float64 stacked matmul rounds by operand layout",
-)
 def test_stored_real_lane_program_agrees_bitwise_at_batch_size_one():
-    # Drawn by the test above: run_batch at B=1 differs from evaluate by
-    # one ulp on this lane program.
+    # Drawn by the test above: run_batch at B=1 differed from evaluate by
+    # one ulp on this lane program while a lane capture kept the layout of
+    # the transposed A.
     u = var("u")
     expression = ssum("_l0", (u + var("_l0")).T @ var("A").T @ u) + var("s")
     instance = _instance(REAL, 2, 2)
