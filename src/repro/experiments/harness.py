@@ -251,8 +251,9 @@ class ServedWorkload:
     caller", ``ServedWorkload`` is the serving-side counterpart: a stream of
     independent ``(expression, instance)`` requests pushed through an
     :class:`~repro.service.engine.Engine`, whose micro-batching scheduler
-    coalesces requests that share a plan / semiring / dimension signature
-    into stacked kernel calls.  The benchmark suite uses it to measure
+    coalesces requests that share a plan and a semiring, then runs them
+    through the batch chunker ``run_batch`` uses (stacked kernel calls per
+    dimension signature).  The benchmark suite uses it to measure
     serving throughput against the sequential ``evaluate()`` baseline, and
     the experiments can use it to replay any recorded request mix.
 

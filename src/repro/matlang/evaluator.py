@@ -34,7 +34,9 @@ assignment, stacks each bucket into ``(B, rows, cols)`` arrays and runs every
 plan op once per chunk over the whole stack
 (:func:`repro.matlang.ir.execute_plan_batch`), so the Python dispatch cost —
 which dominates small-instance sweeps — is amortized over the batch.
-Oversized buckets are chunked to bound peak memory.
+Oversized buckets are chunked to bound peak memory.  :func:`plan_chunks` is
+the one chunker behind every batched entry point, the serving engine's
+dispatch included.
 
 Results returned from the public entry points (:meth:`Evaluator.run`,
 :meth:`Evaluator.run_typed`, :func:`evaluate`, :func:`evaluate_batch`) are
@@ -76,7 +78,6 @@ from repro.semiring import diagonal, identity, ones_matrix, scalar
 from repro.semiring.backends import (
     ExecutionBackend,
     PhysicalPlan,
-    instance_statistics,
     plan_physical,
     resolve_backend,
 )
@@ -145,8 +146,6 @@ class Evaluator:
         #: Bounded FIFO: an evaluator fed ever-new expressions must not pin
         #: every plan it ever selected for.
         self._physical_cache: "OrderedDict[int, tuple]" = OrderedDict()
-        #: Instance statistics for the physical planner, profiled once.
-        self._statistics = None
         #: Cache of results of loop sub-expressions that do not depend on any
         #: loop-bound variable.  Such sub-expressions (for example the order
         #: matrix ``S_<=`` occurring inside the body of an LU reduction loop)
@@ -202,10 +201,11 @@ class Evaluator:
         """The physical plan for ``plan`` on this evaluator's instance.
 
         Pinned backends short-circuit; adaptive requests consult the per-op
-        planner (:func:`~repro.semiring.backends.plan_physical`) with the
-        (cached) instance statistics, once per distinct plan per profile
-        generation — a profile update re-plans instead of serving a stale
-        assignment.
+        planner (:func:`~repro.semiring.backends.plan_physical`), once per
+        distinct plan per profile generation — a profile update re-plans
+        instead of serving a stale assignment.  The planner profiles the
+        instance only when its semiring and dimensions leave sparse
+        execution on the table.
         """
         if self.backend is not None:
             return PhysicalPlan(
@@ -220,15 +220,7 @@ class Evaluator:
         cached = self._physical_cache.get(id(plan))
         if cached is not None and cached[0] is plan and cached[2] == generation:
             return cached[1]
-        if self._statistics is None:
-            self._statistics = instance_statistics(self.instance)
-        physical = plan_physical(
-            plan,
-            self.instance,
-            None,
-            statistics=self._statistics,
-            profile=active_profile(),
-        )
+        physical = plan_physical(plan, self.instance, None, profile=active_profile())
         self._physical_cache[id(plan)] = (plan, physical, generation)
         while len(self._physical_cache) > self._PHYSICAL_CACHE_CAPACITY:
             self._physical_cache.popitem(last=False)
@@ -691,8 +683,8 @@ def _merge_ragged_buckets(buckets, instances):
     its own cluster instead of pricing the genuine near-misses out of
     merging (15/16/17/40 becomes ``{40}`` plus one padded ``{15,16,17}``
     batch).  Returns a list of ``(positions, target-dims-or-None)``
-    groups; ``None`` means "execute unpadded" (the group already agrees on
-    every dimension).
+    groups, positions in input order; ``None`` means "execute unpadded"
+    (the group already agrees on every dimension).
     """
     by_shape: "OrderedDict[Any, List]" = OrderedDict()
     for (semiring_name, dims), positions in buckets.items():
@@ -732,11 +724,175 @@ def _merge_ragged_buckets(buckets, instances):
                 else:
                     survivors.append((dims, positions))
             remaining = survivors
-            merged_positions = [
+            merged_positions = sorted(
                 position for _, positions in cluster for position in positions
-            ]
+            )
             groups.append((merged_positions, target if len(cluster) > 1 else None))
     return groups
+
+
+def run_plan(
+    plan,
+    instance,
+    functions: FunctionRegistry,
+    backend: Union[ExecutionBackend, str, None] = None,
+    profiler: Any = None,
+) -> np.ndarray:
+    """Run ``plan`` on one instance, on the physical plan :func:`evaluate` picks.
+
+    ``backend`` ``None`` / ``"auto"`` assigns a backend per op through
+    :func:`~repro.semiring.backends.plan_physical`; a backend name or
+    instance pins it.  ``profiler`` is the executor's per-op hook.  The
+    result is a dense defensive copy.
+    """
+    physical = plan_physical(plan, instance, backend)
+    value = execute_plan(
+        physical.plan,
+        physical.backend,
+        instance,
+        functions,
+        backends=physical.backends,
+        profiler=profiler,
+    )
+    return physical.result_backend.to_dense(value).copy()
+
+
+class PlanChunk:
+    """One execution of a plan over part of a sweep (see :func:`plan_chunks`).
+
+    ``positions`` index the sweep and ``instances`` are the instances at
+    those positions.  ``lane`` is ``"dense"``, ``"sparse"`` or ``"mixed"``
+    for one stacked execution of two or more instances on the batched
+    backends of ``physical`` (the group's physical plan), and ``"single"``
+    for one instance run by :func:`run_plan`.  ``target`` is the padded
+    dimension assignment of a ragged merge, or ``None`` when every instance
+    runs at its own size.
+    """
+
+    __slots__ = ("plan", "positions", "instances", "lane", "physical", "target", "backend")
+
+    def __init__(
+        self, plan, positions, instances, backend, lane="single", physical=None, target=None
+    ) -> None:
+        self.plan = plan
+        self.positions = positions
+        self.instances = instances
+        self.backend = backend
+        self.lane = lane
+        self.physical = physical
+        self.target = target
+
+    def run(
+        self,
+        functions: FunctionRegistry,
+        stack_cache: Optional[StackCache] = None,
+        profiler: Any = None,
+    ) -> List[np.ndarray]:
+        """Execute the chunk: one dense copy per position, at its true shape.
+
+        ``stack_cache`` carries stacked inputs across calls; padded chunks
+        bypass it (their padded views are rebuilt per call, so entries
+        could never hit).  ``profiler`` is the executors' per-op hook.
+        """
+        if self.lane == "single":
+            return [run_plan(self.plan, self.instances[0], functions, self.backend, profiler)]
+        physical = self.physical
+        backends = physical.batched_backends(len(self.instances))
+        batch = self.instances
+        if self.target is not None:
+            batch = [_PaddedInstance(instance, self.target) for instance in batch]
+            stack_cache = None
+        value = execute_plan_batch(
+            physical.plan,
+            backends[physical.default_tag],
+            batch,
+            functions,
+            stack_cache=stack_cache,
+            backends=backends,
+            profiler=profiler,
+        )
+        result = physical.plan.ops[physical.plan.result].backend or physical.default_tag
+        stacked = backends[result].to_dense(value)
+        if self.target is None:
+            return [slab.copy() for slab in stacked]
+        results = []
+        for slab, instance in zip(stacked, self.instances):
+            rows, cols = _result_shape(self.plan, instance)
+            results.append(slab[:rows, :cols].copy())
+        return results
+
+
+def plan_chunks(
+    plan,
+    instances,
+    chunk_size: Optional[int] = None,
+    ragged: bool = True,
+    backend: Optional[str] = None,
+):
+    """Split a sweep of one plan into the :class:`PlanChunk` runs executing it.
+
+    Instances are bucketed by semiring and dimension assignment (a stacked
+    batch must agree on both).  With ``ragged``, near-miss buckets merge
+    into one zero-padded group when the plan tolerates padding
+    (:func:`_padding_safe`, :func:`_merge_ragged_buckets`).  Each group of
+    two or more picks its lane through
+    :func:`~repro.semiring.backends.plan_physical` costed at the group's
+    width, on its first instance unpadded (padding only adds zeros, so the
+    original densities are the honest signal), and splits into chunks of
+    at most ``chunk_size`` instances (default: from
+    :data:`BATCH_CHUNK_ENTRY_BUDGET`, or :data:`SPARSE_BATCH_NNZ_BUDGET` on
+    the block-diagonal CSR lane).  A chunk of one, and each instance of a
+    group whose pick has no batched counterpart (a custom backend), runs
+    per instance on exactly the plan :func:`evaluate` picks.  ``backend``
+    is ``None`` / ``"auto"`` (adaptive) or ``"dense"`` (pinned).  Chunks are
+    yielded lazily: a group is planned when the caller reaches it.
+    """
+    if backend not in (None, "auto", "dense"):
+        raise EvaluationError(
+            f"batched lanes are adaptive or dense, got backend {backend!r}; "
+            "pinned non-dense workloads run per instance (see CompiledWorkload)"
+        )
+    if chunk_size is not None and chunk_size < 1:
+        raise EvaluationError(f"batch chunk size must be positive, got {chunk_size!r}")
+    instances = list(instances)
+    if len(instances) == 1:
+        # Lone serving requests are common; skipping the bucketing halves
+        # the chunker's cost for them.
+        yield PlanChunk(plan, [0], instances, backend)
+        return
+    buckets: "OrderedDict[Any, List[int]]" = OrderedDict()
+    for position, instance in enumerate(instances):
+        key = (instance.semiring.name, tuple(sorted(instance.dimensions.items())))
+        buckets.setdefault(key, []).append(position)
+    if ragged and len(buckets) > 1 and _padding_safe(plan):
+        groups = _merge_ragged_buckets(buckets, instances)
+    else:
+        groups = [(positions, None) for positions in buckets.values()]
+    for positions, target in groups:
+        origin = instances[positions[0]]
+        lane = None
+        if len(positions) > 1:
+            physical = plan_physical(plan, origin, backend, batch_size=len(positions))
+            lane = physical.batch_mode
+        if lane is None:
+            for position in positions:
+                yield PlanChunk(plan, [position], [instances[position]], backend)
+            continue
+        if chunk_size is not None:
+            limit = chunk_size
+        elif lane == "sparse":
+            limit = _sparse_batch_chunk_size(origin)
+        else:
+            limit = _batch_chunk_size(
+                origin if target is None else _PaddedInstance(origin, target)
+            )
+        for start in range(0, len(positions), limit):
+            chunk = positions[start : start + limit]
+            members = [instances[position] for position in chunk]
+            if len(chunk) == 1:
+                yield PlanChunk(plan, chunk, members, backend)
+            else:
+                yield PlanChunk(plan, chunk, members, backend, lane, physical, target)
 
 
 def run_plan_batch(
@@ -750,110 +906,36 @@ def run_plan_batch(
 ) -> List[np.ndarray]:
     """Execute a compiled plan over many instances with batched kernels.
 
-    Instances are bucketed by semiring and dimension assignment (a batch
-    must agree on both), each bucket is chunked to at most ``chunk_size``
-    instances (default: derived from :data:`BATCH_CHUNK_ENTRY_BUDGET` for
-    the dense lane, :data:`SPARSE_BATCH_NNZ_BUDGET` for the block-diagonal
-    CSR lane), and each chunk runs the plan once over the whole batch on
-    the batched backend(s) the physical planner picks.  Results come back
-    in input order, one defensive copy per instance — entrywise identical
-    to running the plan per instance.
+    Runs every chunk :func:`plan_chunks` yields, so each chunk executes
+    the plan once over its whole batch on the lane the physical planner
+    picks for its group: a dense stack, one block-diagonal CSR batch
+    (sparse-selected reachability / shortest-path sweeps), or a mixed
+    per-op assignment with whole-batch conversions at representation
+    boundaries.  Results come back in input order, one defensive copy per
+    instance, equal to running the plan per instance: bitwise on exact
+    semirings, and on float64 too unless padded.
 
     With ``ragged`` (the default), *near-miss* buckets — same semiring,
     same dimension symbols, sizes within :data:`RAGGED_PAD_LIMIT` of the
-    group maximum — are additionally merged into one padded batch when the
-    plan tolerates it (see :func:`_padding_safe`): every
-    instance is embedded as the top-left block of a group-maximum matrix
-    padded with the semiring zero, the batch executes once, and each result
-    is sliced back to its true shape.  A 15/16/17-node sweep then runs as
-    one kernel call instead of three.  Over exact semirings padded results
-    are bitwise-identical to unpadded execution; over float64 the padded
-    zeros can regroup the kernel's reductions, so equality holds to
-    floating-point tolerance instead.  ``ragged=False`` restores strict
-    bucket-per-signature execution.
+    group maximum — merge into one padded batch when the plan tolerates
+    it: every instance is embedded as the top-left block of a
+    group-maximum matrix padded with the semiring zero, the batch executes
+    once, and each result is sliced back to its true shape.  A
+    15/16/17-node sweep then runs as one kernel call instead of three.
+    Over float64 the padded zeros can regroup the kernel's reductions, so
+    padded results are equal to floating-point tolerance.
+    ``ragged=False`` restores strict bucket-per-signature execution.
 
     ``stack_cache`` (a :class:`~repro.matlang.ir.StackCache`) carries the
     stacked input arrays across calls: repeated sweeps over the same
-    instance objects skip the per-call re-stacking entirely.  Padded
-    groups bypass the cache (their padded views are rebuilt per call, so
-    entries could never hit).
-
-    Each group picks its execution lane through the physical planner
-    (costed at the group's batch width): a dense stack, one block-diagonal
-    CSR batch (sparse-selected reachability / shortest-path sweeps), or a
-    mixed per-op assignment with whole-batch conversions at representation
-    boundaries.  All three lanes return entrywise-identical results;
-    ``backend="dense"`` pins the dense lane (the historical behaviour).
+    instance objects skip the per-call re-stacking entirely.
+    ``backend="dense"`` pins the dense lane.
     """
-    from repro.semiring.backends import batched_backends_for, plan_physical
-
-    if backend not in (None, "auto", "dense"):
-        raise EvaluationError(
-            f"run_plan_batch lanes are adaptive or dense, got backend {backend!r}; "
-            "pinned non-dense workloads run per instance (see CompiledWorkload)"
-        )
     instances = list(instances)
     results: List[Optional[np.ndarray]] = [None] * len(instances)
-    buckets: "OrderedDict[Any, List[int]]" = OrderedDict()
-    for position, instance in enumerate(instances):
-        key = (instance.semiring.name, tuple(sorted(instance.dimensions.items())))
-        buckets.setdefault(key, []).append(position)
-    if ragged and len(buckets) > 1 and _padding_safe(plan):
-        groups = _merge_ragged_buckets(buckets, instances)
-    else:
-        groups = [(positions, None) for positions in buckets.values()]
-    for positions, target in groups:
-        if target is None:
-            batch_instances = [instances[position] for position in positions]
-            cache = stack_cache
-        else:
-            batch_instances = [
-                _PaddedInstance(instances[position], target) for position in positions
-            ]
-            cache = None
-        representative = batch_instances[0]
-        # Lane selection on the unpadded representative (padding only adds
-        # semiring zeros, so the original densities are the honest signal),
-        # costed at the group's width so per-batch fixed costs amortize.
-        origin = instances[positions[0]]
-        exec_plan, default_tag, tags = plan, "dense", ("dense",)
-        mode = "dense"
-        if backend in (None, "auto"):
-            physical = plan_physical(plan, origin, None, batch_size=len(positions))
-            mode = physical.batch_mode or "dense"
-            if mode != "dense":
-                exec_plan = physical.plan
-                default_tag = physical.default_tag
-                tags = tuple(physical.backends)
-        if chunk_size is not None:
-            limit = chunk_size
-        elif mode == "sparse":
-            limit = _sparse_batch_chunk_size(origin)
-        else:
-            limit = _batch_chunk_size(representative)
-        if limit < 1:
-            raise EvaluationError(f"batch chunk size must be positive, got {limit!r}")
-        result_tag = exec_plan.ops[exec_plan.result].backend or default_tag
-        for start in range(0, len(positions), limit):
-            chunk = positions[start : start + limit]
-            backends_map = batched_backends_for(
-                representative.semiring, len(chunk), tags
-            )
-            value = execute_plan_batch(
-                exec_plan,
-                backends_map[default_tag],
-                batch_instances[start : start + limit],
-                functions,
-                stack_cache=cache,
-                backends=backends_map,
-            )
-            stacked = backends_map[result_tag].to_dense(value)
-            for offset, position in enumerate(chunk):
-                if target is None:
-                    results[position] = stacked[offset].copy()
-                else:
-                    rows, cols = _result_shape(plan, instances[position])
-                    results[position] = stacked[offset][:rows, :cols].copy()
+    for chunk in plan_chunks(plan, instances, chunk_size, ragged, backend):
+        for position, result in zip(chunk.positions, chunk.run(functions, stack_cache)):
+            results[position] = result
     return results
 
 

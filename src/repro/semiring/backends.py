@@ -1432,8 +1432,6 @@ def plan_physical(
             (f"backend {label!r} pinned by the caller",),
         )
 
-    if statistics is None:
-        statistics = instance_statistics(instance)
     if profile is None:
         from repro.profile import active_profile
 
@@ -1447,17 +1445,22 @@ def plan_physical(
             (f"auto-selected dense: {reason}",),
         )
 
+    # The gates that need only the semiring and the dimensions come first,
+    # so a plan that cannot go sparse never pays the density profile.
     min_dimension = int(profile.sparse_min_dimension)
-    max_density = float(profile.sparse_max_density)
-    if statistics.semiring not in SPARSE_CAPABLE_SEMIRINGS:
-        return dense(f"no sparse representation for semiring {statistics.semiring!r}")
+    if semiring.name not in SPARSE_CAPABLE_SEMIRINGS:
+        return dense(f"no sparse representation for semiring {semiring.name!r}")
     if _sparse is None:
         return dense("scipy is not installed")
-    if statistics.max_dimension < min_dimension:
+    max_dimension = max(instance.dimensions.values(), default=1)
+    if max_dimension < min_dimension:
         return dense(
-            f"largest dimension {statistics.max_dimension} is below the sparse "
+            f"largest dimension {max_dimension} is below the sparse "
             f"threshold {min_dimension}"
         )
+    if statistics is None:
+        statistics = instance_statistics(instance)
+    max_density = float(profile.sparse_max_density)
     if statistics.density is None:
         return dense(
             f"instance density unknown exceeds the sparse ceiling {max_density}"

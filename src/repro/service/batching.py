@@ -8,13 +8,15 @@ thread drains the queue and folds the drained requests into
 :class:`DispatchGroup` batches.
 
 Two requests coalesce into the same group when they would run the **same
-plan** over instances that agree on semiring and dimension assignment —
-exactly the precondition of :func:`repro.matlang.ir.execute_plan_batch`,
-which then executes the whole group as one stacked kernel call.  Everything
-else about a request (which thread submitted it, when, for which tenant) is
-irrelevant to correctness, so the group key is just::
+plan** over the same semiring.  The engine hands each group to the batch
+chunker (:func:`repro.matlang.evaluator.plan_chunks`), which splits it by
+dimension assignment — the precondition of
+:func:`repro.matlang.ir.execute_plan_batch` — and runs each part as stacked
+kernel calls.  Everything else about a request (which thread submitted it,
+when, for which tenant) is irrelevant to correctness, so the group key is
+just::
 
-    (plan identity, semiring identity, dimension signature)
+    (plan identity, semiring identity)
 
 Plan identity is object identity: the compiler's plan cache returns one
 plan object per ``(expression, schema, options)`` key, so concurrent
@@ -173,13 +175,15 @@ class CoalescingPolicy:
         Intake queue bound; ``submit`` blocks once this many requests are
         waiting (backpressure instead of unbounded buffering).
     ``ragged``
-        Opt-in ragged coalescing: groups that share a plan and semiring but
-        differ in dimensions additionally merge into one zero-padded batch
-        when the plan tolerates padding and the padding inflation stays
-        within :data:`repro.matlang.evaluator.RAGGED_PAD_LIMIT` — the
-        serving-side counterpart of ``run_batch(..., ragged=True)``.  Off by
-        default: padding trades kernel work for dispatch, which only pays
-        for near-miss size mixes.
+        Opt-in ragged coalescing, the chunker's ``ragged``: requests that
+        share a plan and semiring but differ in dimensions additionally
+        merge into one zero-padded batch when the plan tolerates padding
+        and the padding inflation stays within
+        :data:`repro.matlang.evaluator.RAGGED_PAD_LIMIT`, as in
+        ``run_batch(..., ragged=True)``.  Padded results equal sequential
+        ``evaluate``: bitwise on exact semirings, within floating-point
+        tolerance on float64.  Off by default: padding trades kernel work
+        for dispatch, which only pays for near-miss size mixes.
 
     Robustness knobs (the PR 8 subsystem):
 
@@ -320,7 +324,6 @@ class QueryRequest:
     __slots__ = (
         "plan",
         "instance",
-        "execute_instance",
         "future",
         "submitted_at",
         "sequence",
@@ -340,10 +343,6 @@ class QueryRequest:
     ) -> None:
         self.plan = plan
         self.instance = instance
-        #: The instance the kernels actually run on: the submitted instance,
-        #: unless ragged coalescing substituted a zero-padded view of it
-        #: (the result is then sliced back to ``instance``'s true shape).
-        self.execute_instance = instance
         self.future = future
         #: ``time.perf_counter()`` at submission, for latency telemetry.
         self.submitted_at = submitted_at
@@ -369,13 +368,12 @@ class QueryRequest:
 
     def group_key(self) -> Tuple:
         """The coalescing identity (see the module docstring)."""
-        dimensions = tuple(sorted(self.instance.dimensions.items()))
-        return (id(self.plan), id(self.instance.semiring), dimensions)
+        return (id(self.plan), id(self.instance.semiring))
 
 
 @dataclass
 class DispatchGroup:
-    """Requests that can execute as one stacked kernel call."""
+    """Requests sharing a plan and a semiring, dispatched together."""
 
     plan: Any
     requests: List[QueryRequest] = field(default_factory=list)

@@ -4,13 +4,16 @@
 call :meth:`Engine.submit` / :meth:`Engine.submit_many` with independent
 ``(expression, instance)`` requests and get :class:`concurrent.futures.Future`
 results back, while a single scheduler thread drains the intake queue and
-**coalesces** concurrent requests that share a compiled plan, a semiring and
-a dimension signature into one stacked kernel call
+**coalesces** concurrent requests that share a compiled plan and a semiring.
+Each coalesced group runs through the batch chunker sweeps use
+(:func:`repro.matlang.evaluator.plan_chunks`), which splits it by
+dimensions, picks each part's lane and runs it as stacked kernel calls
 (:func:`repro.matlang.ir.execute_plan_batch`).  The Python dispatch cost of
 plan execution — the dominant cost of small-instance traffic — is thereby
-paid once per coalesced group instead of once per request, which is the same
-move the batched sweep API (PR 3) makes, lifted from "one caller with a
-list" to "many callers with one request each".
+paid once per chunk instead of once per request: the move the batched
+sweep API makes, lifted from "one caller with a list" to "many callers
+with one request each".  The engine itself is intake, scheduling and
+delivery.
 
 Correctness contract
 --------------------
@@ -18,17 +21,20 @@ Results are **bitwise-equal** to evaluating each request sequentially with
 :func:`repro.matlang.evaluator.evaluate`:
 
 * batched dense execution is bitwise-equal to per-instance dense execution
-  (the PR 3 invariant, asserted across every registered semiring);
+  (asserted across every registered semiring);
 * sparse-selected and mixed (conversion-carrying) groups batch too: the
   group assembles into one block-diagonal CSR operand per input and every
   plan op runs once over the whole batch — block structure is closed under
   each combine op, so the stacked answer is bitwise-equal to running each
-  request on its own sparse/mixed physical plan; only requests assigned a
-  custom (caller-registered) backend, or pinned to a non-dense backend,
-  still fall back to per-instance execution;
+  request on its own sparse/mixed physical plan;
+* a lone request, and each request of a group whose physical plan uses a
+  custom (caller-registered) backend, runs on its own physical plan, the
+  one ``evaluate`` picks; requests pinned to a non-dense backend run per
+  instance on it;
 * ragged coalescing (``CoalescingPolicy(ragged=True)``) only ever merges
   padding-safe plans and slices each result back to its request's true
-  shape, so padded execution stays entrywise identical too;
+  shape; padded results equal sequential ``evaluate`` bitwise on exact
+  semirings and within floating-point tolerance on float64;
 * a request that raises (bad schema, carrier violation, overflow) delivers
   its exception through its own future without poisoning the group: the
   scheduler retries the group's surviving members per-instance.
@@ -71,6 +77,7 @@ from repro.exceptions import (
     EngineDiedError,
     EngineOverloadedError,
 )
+from repro.matlang.evaluator import plan_chunks, run_plan
 from repro.service import faults
 from repro.service.batching import (
     CoalescingPolicy,
@@ -198,14 +205,6 @@ class Engine:
         #: :class:`repro.matlang.ir.StackCache`): a hot instance set served
         #: repeatedly re-stacks nothing.
         self._stack_cache = StackCache()
-        #: Dense backends per semiring identity (the semiring is pinned in
-        #: the value so its id cannot be recycled while cached).  Only the
-        #: scheduler thread touches this.
-        self._dense_backends: Dict[int, Tuple[Any, Any]] = {}
-        #: Padding-safety verdicts per plan identity (the plan is pinned in
-        #: the value); only consulted under ragged coalescing, only by the
-        #: scheduler thread.
-        self._padding_safe: Dict[int, Tuple[Any, bool]] = {}
         if profile_feedback:
             from repro.profile import ExecutionProfiler
 
@@ -889,8 +888,6 @@ class Engine:
                 if not drained:
                     continue
                 groups = coalesce(drained)
-                if self.policy.ragged:
-                    groups = self._merge_ragged_groups(groups)
                 coalesced_at = time.perf_counter()
                 for group in groups:
                     for request in group.requests:
@@ -961,69 +958,14 @@ class Engine:
             for request in leftovers:
                 self._finish_error(request, died)
 
-    def _merge_ragged_groups(
-        self, groups: List[DispatchGroup]
-    ) -> List[DispatchGroup]:
-        """Fold near-miss dimension groups into zero-padded dispatch groups.
-
-        The serving-side counterpart of ``run_batch(..., ragged=True)``:
-        groups that share a plan and a semiring but disagree on dimensions
-        merge into one padded batch when the plan tolerates padding
-        (:func:`repro.matlang.evaluator._padding_safe`) and every member's
-        inflation stays within ``RAGGED_PAD_LIMIT`` (the clustering in
-        :func:`repro.matlang.evaluator._merge_ragged_buckets`).  Members of
-        a padded group get a :class:`_PaddedInstance` as their
-        ``execute_instance``; results are sliced back to true shape at
-        delivery.
-        """
-        from collections import OrderedDict
-
-        from repro.matlang.evaluator import _merge_ragged_buckets, _PaddedInstance
-
-        merged: List[DispatchGroup] = []
-        families: "OrderedDict[Tuple, List[DispatchGroup]]" = OrderedDict()
-        for group in groups:
-            semiring = group.requests[0].instance.semiring
-            if self._plan_padding_safe(group.plan):
-                families.setdefault((id(group.plan), id(semiring)), []).append(group)
-            else:
-                merged.append(group)
-
-        for members in families.values():
-            if len(members) == 1:
-                merged.append(members[0])
-                continue
-            plan = members[0].plan
-            requests = [request for group in members for request in group.requests]
-            instances = [request.instance for request in requests]
-            buckets: "OrderedDict[Tuple, List[int]]" = OrderedDict()
-            for position, instance in enumerate(instances):
-                dims = tuple(sorted(instance.dimensions.items()))
-                buckets.setdefault((instance.semiring.name, dims), []).append(position)
-            for positions, target in _merge_ragged_buckets(buckets, instances):
-                group = DispatchGroup(plan=plan)
-                for position in sorted(
-                    positions, key=lambda index: requests[index].sequence
-                ):
-                    request = requests[position]
-                    if target is not None:
-                        request.execute_instance = _PaddedInstance(
-                            request.instance, target
-                        )
-                    group.requests.append(request)
-                merged.append(group)
-        return merged
-
-    def _plan_padding_safe(self, plan: Any) -> bool:
-        from repro.matlang.evaluator import _padding_safe
-
-        cached = self._padding_safe.get(id(plan))
-        if cached is None or cached[0] is not plan:
-            cached = (plan, _padding_safe(plan))
-            self._padding_safe[id(plan)] = cached
-        return cached[1]
-
     def _dispatch(self, group: DispatchGroup) -> None:
+        """Execute one coalesced group through the batch chunker.
+
+        :func:`repro.matlang.evaluator.plan_chunks` splits the group by
+        dimensions (merging near-miss sizes under ``policy.ragged``), picks
+        each part's lane and sizes its chunks, exactly as for a
+        ``run_batch`` sweep; the engine runs the chunks it yields.
+        """
         if faults.ACTIVE is not None:
             faults.ACTIVE.fire("engine.dispatch")
         requests = group.requests
@@ -1033,128 +975,69 @@ class Engine:
             requests = self._shed_expired(requests)
             if not requests:
                 return
-        batchable: List[QueryRequest] = []
-        fallback: List[Tuple[QueryRequest, Any]] = []
-        for request in requests:
-            physical = self._select(request)
-            if physical is None:
-                batchable.append(request)
-            else:
-                fallback.append((request, physical))
-
-        if len(batchable) == 1:
-            # A lone dense request gains nothing from the (B=1) stacked
-            # representation; run it on the plain dense backend.
-            request = batchable.pop()
-            fallback.insert(
-                0, (request, self._dense_physical(group.plan, request.instance.semiring))
-            )
-
-        if batchable:
-            self._dispatch_batched(group.plan, batchable)
-        for request, physical in fallback:
-            self._execute_single(request, physical)
-
-    def _dispatch_batched(self, plan: Any, requests: List[QueryRequest]) -> None:
-        from repro.matlang.evaluator import _batch_chunk_size, _sparse_batch_chunk_size
-        from repro.matlang.ir import execute_plan_batch
-        from repro.semiring.backends import batched_backends_for, plan_physical
-
-        representative = requests[0].execute_instance
-        # Group-level lane selection profiles the representative's *unpadded*
-        # instance (padded views carry no matrices of their own), with the
-        # per-op overhead amortized over the whole group so borderline mixed
-        # plans flip the same way the batched sweep API does.
-        origin = requests[0].instance
-        padded = any(
-            request.execute_instance is not request.instance for request in requests
+        backend = self.backend_request
+        if backend not in (None, "auto", "dense"):
+            # A pinned non-dense backend (a name or an instance) is honoured
+            # verbatim, per instance: the batched lanes only speak the
+            # built-in representations.
+            for request in requests:
+                self._execute_single(request)
+            return
+        chunks = plan_chunks(
+            group.plan,
+            [request.instance for request in requests],
+            ragged=self.policy.ragged,
+            backend=backend,
         )
-        mode = "dense"
-        exec_plan = plan
-        default_tag = "dense"
-        tags: Tuple[str, ...] = ("dense",)
-        if self.backend_request is None or self.backend_request == "auto":
-            physical = plan_physical(plan, origin, None, batch_size=len(requests))
-            if physical.batch_mode in ("sparse", "mixed"):
-                mode = physical.batch_mode
-                exec_plan = physical.plan
-                default_tag = physical.default_tag
-                tags = tuple(physical.backends)
-        result_tag = exec_plan.ops[exec_plan.result].backend or default_tag
+        for chunk in chunks:
+            members = [requests[position] for position in chunk.positions]
+            if chunk.lane == "single":
+                self._execute_single(members[0])
+            else:
+                self._execute_chunk(members, chunk)
 
-        if mode == "sparse":
-            # Sparse chunks are bounded by stored entries, not dense slabs:
-            # a block-diagonal batch costs O(total nnz), so the budget scales
-            # with density rather than dimension.
-            limit = max(1, min(self.policy.max_batch, _sparse_batch_chunk_size(origin)))
-        else:
-            limit = max(
-                1, min(self.policy.max_batch, _batch_chunk_size(representative))
+    def _execute_chunk(self, requests: List[QueryRequest], chunk: Any) -> None:
+        """Run one stacked chunk; if it raises, run its requests alone."""
+        started = time.perf_counter()
+        traced = [request for request in requests if request.trace is not None]
+        collector = None
+        if traced:
+            # The batch executor's profiler hook doubles as the kernel
+            # span source; the collector stays local to this chunk (the
+            # engine's feedback profiler never sees batched values).
+            from repro.obs.trace import OpSpanCollector
+
+            collector = OpSpanCollector()
+        try:
+            results = chunk.run(self.functions, self._stack_cache, collector)
+        except Exception:
+            # Rescue pass: one poisoned request (carrier violation,
+            # overflow) must only fail its own future, so each request of
+            # the chunk reruns alone for its own verdict.
+            for request in requests:
+                self._execute_single(request)
+            return
+        self._stats.record_dispatch(len(requests), batched=True)
+        if chunk.lane != "dense":
+            self._stats.record_sparse_dispatch(
+                len(requests), time.perf_counter() - started
             )
-        for start in range(0, len(requests), limit):
-            chunk = requests[start : start + limit]
-            if len(chunk) == 1:
-                # A lone request gains nothing from the (B=1) stacked
-                # representation; run it on the plan its own profile picks.
-                if mode == "dense":
-                    single = self._dense_physical(plan, representative.semiring)
-                else:
-                    single = plan_physical(plan, chunk[0].instance, None)
-                self._execute_single(chunk[0], single)
-                continue
-            started = time.perf_counter()
-            traced = [request for request in chunk if request.trace is not None]
-            collector = None
-            if traced:
-                # The batch executor's profiler hook doubles as the kernel
-                # span source; the collector stays local to this chunk (the
-                # engine's feedback profiler never sees batched values).
-                from repro.obs.trace import OpSpanCollector
-
-                collector = OpSpanCollector()
-            backends_map = batched_backends_for(
-                representative.semiring, len(chunk), tags
-            )
-            try:
-                value = execute_plan_batch(
-                    exec_plan,
-                    backends_map[default_tag],
-                    [request.execute_instance for request in chunk],
-                    self.functions,
-                    # Padded views are rebuilt per scheduling round, so their
-                    # stacks can never be re-hit; keep them out of the cache.
-                    stack_cache=None if padded else self._stack_cache,
-                    backends=backends_map,
-                    profiler=collector,
+        if traced:
+            ended = time.perf_counter()
+            for request in traced:
+                request.trace.add_perf(
+                    "dispatch", "serving", started, ended - started,
+                    {"batch": len(requests), "lane": chunk.lane},
                 )
-                stacked = backends_map[result_tag].to_dense(value)
-            except Exception:
-                # Rescue pass: one poisoned request (carrier violation,
-                # overflow) must only fail its own future — rerun the chunk
-                # per-instance (unpadded) so each request gets its own
-                # verdict.  Per-instance dense is correct on every lane.
-                dense = self._dense_physical(plan, representative.semiring)
-                for request in chunk:
-                    self._execute_single(request, dense)
-                continue
-            self._stats.record_dispatch(len(chunk), batched=True)
-            if mode != "dense":
-                self._stats.record_sparse_dispatch(
-                    len(chunk), time.perf_counter() - started
-                )
-            if traced:
-                ended = time.perf_counter()
-                for request in traced:
-                    request.trace.add_perf(
-                        "dispatch", "serving", started, ended - started,
-                        {"batch": len(chunk), "lane": mode},
-                    )
-                    collector.attach(request.trace, batch=len(chunk))
-            self._finish_chunk(chunk, stacked, plan=plan, padded=padded)
+                collector.attach(request.trace, batch=len(requests))
+        self._finish_chunk(requests, results)
 
-    def _execute_single(self, request: QueryRequest, physical: Any) -> None:
-        from repro.matlang.ir import execute_plan
+    def _execute_single(self, request: QueryRequest) -> None:
+        """Run one request alone, on the plan ``evaluate`` picks for it.
 
+        A pinned backend is honoured instead.  Only these per-instance runs
+        feed the engine's feedback profiler.
+        """
         context = request.trace
         profiler = self._profiler
         collector = None
@@ -1168,15 +1051,13 @@ class Engine:
         self._stats.record_dispatch(1, batched=False)
         started = time.perf_counter()
         try:
-            value = execute_plan(
-                physical.plan,
-                physical.backend,
+            result = run_plan(
+                request.plan,
                 request.instance,
                 self.functions,
-                backends=physical.backends,
-                profiler=profiler,
+                self.backend_request,
+                profiler,
             )
-            result = physical.result_backend.to_dense(value).copy()
         except Exception as error:
             if context is not None:
                 context.add_perf(
@@ -1197,75 +1078,6 @@ class Engine:
             self._finish_result(request, result)
 
     # ------------------------------------------------------------------
-    # Physical selection (scheduler thread only)
-    # ------------------------------------------------------------------
-    def _select(self, request: QueryRequest) -> Optional[Any]:
-        """Pick how one request executes.
-
-        Returns ``None`` when the request should join a stacked batch —
-        any adaptive assignment over the built-in representations (dense
-        stacks, uniformly sparse block-diagonal CSR, or mixed plans that
-        cross representations mid-plan), or the caller-pinned ``"dense"``
-        *name* — and a :class:`~repro.semiring.backends.PhysicalPlan` when
-        the request must run per-instance on it: a custom backend in the
-        assignment, or any other pinned backend, including pinned backend
-        *instances*, which are honoured verbatim (:func:`resolve_backend`
-        policy).  The lane a joined batch actually runs on is re-decided at
-        dispatch time from the whole group (:meth:`_dispatch_batched`).
-
-        Mirrors :meth:`repro.matlang.evaluator.Evaluator.physical` for the
-        adaptive case, with the cheap hard gates (semiring capability,
-        dimension floor) applied first so a dense-dominated stream never
-        pays the per-instance density profile.
-        """
-        from repro.semiring.backends import (
-            AUTO_SPARSE_MIN_DIMENSION,
-            SPARSE_CAPABLE_SEMIRINGS,
-            PhysicalPlan,
-            plan_physical,
-            resolve_backend,
-        )
-
-        instance = request.instance
-        if self.backend_request is not None and self.backend_request != "auto":
-            if self.backend_request == "dense":
-                return None
-            backend = resolve_backend(instance.semiring, self.backend_request)
-            return PhysicalPlan(
-                request.plan,
-                {backend.name: backend},
-                backend.name,
-                (f"backend {backend.name!r} pinned by the caller",),
-            )
-        if instance.semiring.name not in SPARSE_CAPABLE_SEMIRINGS:
-            return None
-        if all(
-            dimension < AUTO_SPARSE_MIN_DIMENSION
-            for dimension in instance.dimensions.values()
-        ):
-            return None
-        physical = plan_physical(request.plan, instance, None)
-        return None if physical.batchable else physical
-
-    def _dense_backend(self, semiring: Any) -> Any:
-        from repro.semiring.backends import backend_for
-
-        cached = self._dense_backends.get(id(semiring))
-        if cached is None or cached[0] is not semiring:
-            cached = (semiring, backend_for(semiring, "dense"))
-            self._dense_backends[id(semiring)] = cached
-        return cached[1]
-
-    def _dense_physical(self, plan: Any, semiring: Any) -> Any:
-        """A uniform dense :class:`PhysicalPlan` over the cached backend."""
-        from repro.semiring.backends import PhysicalPlan
-
-        backend = self._dense_backend(semiring)
-        return PhysicalPlan(
-            plan, {backend.name: backend}, backend.name, ("dense batch member",)
-        )
-
-    # ------------------------------------------------------------------
     # Result delivery
     # ------------------------------------------------------------------
     # Completion statistics are recorded *before* the future flips to done
@@ -1274,40 +1086,23 @@ class Engine:
     # immediately, and must never observe ``completed + failed`` lagging
     # behind its own finished request.
 
-    def _finish_chunk(
-        self,
-        chunk: List[QueryRequest],
-        stacked: Any,
-        plan: Any = None,
-        padded: bool = False,
-    ) -> None:
-        """Resolve one dispatched chunk's futures under a single broadcast.
-
-        For a padded (ragged) chunk, each request's slab is sliced back to
-        the result shape of its *unpadded* instance before delivery.
-        """
-        if padded:
-            from repro.matlang.evaluator import _result_shape
+    def _finish_chunk(self, chunk: List[QueryRequest], results: List[Any]) -> None:
+        """Resolve one dispatched chunk's futures under a single broadcast."""
         now = time.perf_counter()
         with self._result_condition:
             pending = [
-                (offset, request)
-                for offset, request in enumerate(chunk)
+                (request, result)
+                for request, result in zip(chunk, results)
                 if not request.future.done()
             ]
             self._stats.record_done_many(
-                [now - request.submitted_at for _, request in pending], failed=False
+                [now - request.submitted_at for request, _ in pending], failed=False
             )
-            for offset, request in pending:
-                value = stacked[offset]
-                if padded:
-                    rows, cols = _result_shape(plan, request.instance)
-                    value = value[:rows, :cols]
-                value = value.copy()
-                self._memo_store(request, value)
-                request.future._finish_locked(value, None)
+            for request, result in pending:
+                self._memo_store(request, result)
+                request.future._finish_locked(result, None)
             self._result_condition.notify_all()
-        for _, request in pending:
+        for request, _ in pending:
             request.future._drain_callbacks()
             self._trace_finish(request)
 

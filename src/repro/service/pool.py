@@ -516,19 +516,12 @@ def _sandbox_main(connection, plan, instance, functions) -> None:
     """
     _reinit_module_locks()
     try:
+        from repro.matlang.evaluator import run_plan
         from repro.matlang.functions import default_registry
-        from repro.matlang.ir import execute_plan
-        from repro.semiring.backends import plan_physical
 
-        physical = plan_physical(plan, instance, None)
-        value = execute_plan(
-            physical.plan,
-            physical.backend,
-            instance,
-            functions if functions is not None else default_registry(),
-            backends=physical.backends,
-        )
-        connection.send(("ok", np.asarray(physical.result_backend.to_dense(value))))
+        if functions is None:
+            functions = default_registry()
+        connection.send(("ok", np.asarray(run_plan(plan, instance, functions))))
     except BaseException as error:
         try:
             connection.send(("error", error))

@@ -2,9 +2,9 @@
 
 With worker processes in play the engine stops being a scheduler and
 becomes a **router**: every request is hashed to one shard by its
-coalescing identity — ``(plan, semiring, dimension signature)`` — so all
-requests that *could* coalesce into one stacked kernel call land on the
-same worker, whose in-process scheduler then actually coalesces them.
+stacking identity — ``(plan, semiring, dimension signature)`` — so all
+requests that *could* run as one stacked kernel call land on the same
+worker, whose in-process scheduler then actually coalesces them.
 Spreading one group across workers would trade the proven ~20-40x
 coalesce ratio for parallelism the group doesn't need; keying the route on
 the group identity keeps both.

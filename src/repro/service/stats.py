@@ -60,8 +60,8 @@ class EngineStatsSnapshot:
     dispatches: int
     #: Requests that were served through a stacked batch of two or more.
     batched_requests: int
-    #: Requests that ran per-instance (singleton groups, sparse-selected or
-    #: non-batchable plans, and batch-execution rescues).
+    #: Requests that ran per-instance (lone requests, plans with no batched
+    #: counterpart, pinned non-dense backends, and batch-execution rescues).
     fallback_requests: int
     #: Finished requests per kernel dispatch (1.0 = no coalescing).
     coalesce_ratio: float

@@ -544,13 +544,20 @@ class TestSharding:
 
         expression = ssum("_v", var("A") @ var("_v"))
         calls = []
+        singles = []
         original = evaluator_module.execute_plan_batch
+        original_single = evaluator_module.execute_plan
 
         def counting(plan, backend, instances, functions, **kwargs):
             calls.append(len(list(instances)))
             return original(plan, backend, instances, functions, **kwargs)
 
+        def counting_single(plan, backend, instance, functions, **kwargs):
+            singles.append(instance.dimension("alpha"))
+            return original_single(plan, backend, instance, functions, **kwargs)
+
         monkeypatch.setattr(evaluator_module, "execute_plan_batch", counting)
+        monkeypatch.setattr(evaluator_module, "execute_plan", counting_single)
         instances = [
             _instance_for(MIN_PLUS, size, seed)
             for seed, size in enumerate((15, 16, 17, 40, 15, 16, 17))
@@ -560,9 +567,11 @@ class TestSharding:
             instances,
             default_registry(),
         )
-        assert sorted(calls) == [1, 6], (
+        assert calls == [6], (
             "the 40-node outlier must not price 15/16/17 out of merging"
         )
+        # A chunk of one runs per instance, on the plan evaluate picks.
+        assert singles == [40]
         for instance, result in zip(instances, results):
             assert np.array_equal(result, Evaluator(instance).run(expression))
 
@@ -572,20 +581,29 @@ class TestSharding:
 
         expression = apply("gt0", var("A") @ var("A"))
         calls = []
+        singles = []
         original = evaluator_module.execute_plan_batch
+        original_single = evaluator_module.execute_plan
 
         def counting(plan, backend, instances, functions, **kwargs):
             calls.append(len(list(instances)))
             return original(plan, backend, instances, functions, **kwargs)
 
+        def counting_single(plan, backend, instance, functions, **kwargs):
+            singles.append(instance.dimension("alpha"))
+            return original_single(plan, backend, instance, functions, **kwargs)
+
         monkeypatch.setattr(evaluator_module, "execute_plan_batch", counting)
+        monkeypatch.setattr(evaluator_module, "execute_plan", counting_single)
         instances = [_instance_for(REAL, 15 + seed, seed) for seed in range(3)]
         results = run_plan_batch(
             compile_expression(expression, instances[0].schema),
             instances,
             default_registry(),
         )
-        assert len(calls) == 3
+        # Three unmerged buckets of one: each runs alone, at its own size.
+        assert calls == []
+        assert singles == [15, 16, 17]
         for instance, result in zip(instances, results):
             assert np.array_equal(result, Evaluator(instance).run(expression))
 

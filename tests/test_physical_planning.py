@@ -33,7 +33,7 @@ import pytest
 from repro.exceptions import EvaluationError, SemiringError
 from repro.matlang.builder import prod, var
 from repro.matlang.compiler import clear_plan_cache, compile_expression
-from repro.matlang.evaluator import Evaluator, evaluate, evaluate_batch
+from repro.matlang.evaluator import Evaluator, evaluate, evaluate_batch, plan_chunks
 from repro.matlang.functions import default_registry
 from repro.matlang.instance import Instance
 from repro.matlang.ir import Plan, execute_plan, execute_plan_batch, serialize_plan
@@ -51,7 +51,6 @@ from repro.semiring import BOOLEAN, INTEGER, MAX_PLUS, MIN_PLUS, NATURAL, REAL
 from repro.semiring.backends import AUTO_SPARSE_MIN_DIMENSION, backend_for, plan_physical
 from repro.semiring.provenance import PROVENANCE, Polynomial
 from repro.service import CoalescingPolicy, Engine
-from repro.service.batching import QueryFuture, QueryRequest, coalesce
 from repro.stdlib import transitive_closure_product
 
 try:
@@ -578,6 +577,30 @@ class TestCalibration:
         assert loaded.unit_costs == written.unit_costs
 
 
+@pytest.mark.parametrize("semiring", [REAL, BOOLEAN], ids=lambda s: s.name)
+def test_gates_that_need_no_profile_come_before_profiling(monkeypatch, semiring):
+    """A plan no gate lets go sparse never profiles its instance."""
+    import repro.semiring.backends as backends_module
+
+    instance = _mixed_instance(semiring, 16)
+    expression = var("A") @ var("D")
+    expected = evaluate(expression, instance)
+
+    def refuse(instance):
+        raise AssertionError("profiled an instance that cannot go sparse")
+
+    monkeypatch.setattr(backends_module, "instance_statistics", refuse)
+    plan = compile_expression(expression, instance.schema)
+    physical = plan_physical(plan, instance, None)
+    if semiring is REAL:
+        reason = "no sparse representation for semiring 'real'"
+    else:
+        threshold = int(active_profile().sparse_min_dimension)
+        reason = f"largest dimension 16 is below the sparse threshold {threshold}"
+    assert physical.notes == (f"auto-selected dense: {reason}",)
+    assert np.array_equal(evaluate(expression, instance), expected)
+
+
 # ----------------------------------------------------------------------
 # Ragged serving
 # ----------------------------------------------------------------------
@@ -609,34 +632,42 @@ class TestRaggedServing:
 
     def test_merge_folds_near_miss_groups_and_pads(self):
         instances = [self._instance(size, size) for size in (15, 16, 17)]
-        with Engine(policy=CoalescingPolicy(ragged=True)) as engine:
-            plan = compile_expression(self.EXPRESSION, instances[0].schema)
-            requests = [
-                QueryRequest(plan, inst, QueryFuture(engine._result_condition), 0.0)
-                for inst in instances
-            ]
-            for sequence, request in enumerate(requests):
-                request.sequence = sequence
-            groups = coalesce(list(requests))
-            assert len(groups) == 3  # distinct dims: no plain coalescing
-            merged = engine._merge_ragged_groups(groups)
-            assert len(merged) == 1
-            group = merged[0]
-            assert [request.sequence for request in group.requests] == [0, 1, 2]
-            for request in group.requests:
-                assert request.execute_instance.dimension("alpha") == 17
-            # the original instances are untouched
-            for request, instance in zip(group.requests, instances):
-                assert request.instance is instance
+        plan = compile_expression(self.EXPRESSION, instances[0].schema)
+        (chunk,) = plan_chunks(plan, instances, ragged=True)
+        assert chunk.positions == [0, 1, 2]
+        assert chunk.lane == "dense"
+        assert chunk.target["alpha"] == 17
+        results = chunk.run(default_registry())
+        for instance, result, size in zip(instances, results, (15, 16, 17)):
+            assert result.shape == (size, size)
+            assert np.allclose(result, evaluate(self.EXPRESSION, instance))
+        # the original instances are untouched
+        for instance, original, size in zip(chunk.instances, instances, (15, 16, 17)):
+            assert instance is original
+            assert instance.dimension("alpha") == size
+            assert instance.matrix("A").shape == (size, size)
+        # The engine serves the same burst as one padded dispatch.
+        policy = CoalescingPolicy(max_delay=0.05, ragged=True)
+        with Engine(policy=policy) as engine:
+            futures = engine.submit_many((self.EXPRESSION, inst) for inst in instances)
+            served = [future.result(30) for future in futures]
+            snapshot = engine.stats()
+        assert snapshot.dispatches == 1
+        assert snapshot.batched_requests == 3
+        for got, want in zip(served, results):
+            assert np.array_equal(got, want)
 
     def test_padding_unsafe_plans_never_merge(self):
-        instance = _mixed_instance(REAL, 16)
+        instances = [_mixed_instance(REAL, size) for size in (15, 16, 17)]
         # prod(...) lowers to a loop op, which padding does not commute with
-        plan = compile_expression(prod("_v", var("A")), instance.schema)
-        with Engine(policy=CoalescingPolicy(ragged=True)) as engine:
-            assert not engine._plan_padding_safe(plan)
-            safe_plan = compile_expression(var("A") @ var("D"), instance.schema)
-            assert engine._plan_padding_safe(safe_plan)
+        plan = compile_expression(prod("_v", var("A")), instances[0].schema)
+        chunks = list(plan_chunks(plan, instances, ragged=True))
+        assert [chunk.positions for chunk in chunks] == [[0], [1], [2]]
+        assert all(chunk.target is None for chunk in chunks)
+        safe_plan = compile_expression(var("A") @ var("D"), instances[0].schema)
+        (chunk,) = plan_chunks(safe_plan, instances, ragged=True)
+        assert chunk.positions == [0, 1, 2]
+        assert chunk.target["alpha"] == 17
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.matlang.compiler import (
     plan_cache_info,
 )
 from repro.matlang.evaluator import evaluate
+from repro.matlang.functions import default_registry
 from repro.matlang.instance import Instance
 from repro.matlang.ir import StackCache
 from repro.semiring import BOOLEAN, INTEGER, MAX_PLUS, MIN_PLUS, NATURAL, REAL
@@ -182,6 +183,85 @@ class TestEngineResults:
         for instance, result in zip(instances, results):
             assert np.array_equal(result, evaluate(expression, instance))
         assert snapshot.fallback_requests == len(instances)
+
+
+@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy is required for the sparse backend")
+class TestOneBatchPath:
+    """The engine runs requests the way ``run_plan_batch`` runs a sweep."""
+
+    @staticmethod
+    def _closure_instance(seed):
+        rng = np.random.default_rng(seed)
+        return Instance.from_matrices(
+            {"A": rng.random((128, 128)) < 0.004}, semiring=BOOLEAN
+        )
+
+    def test_a_lone_request_runs_on_the_plan_evaluate_picks(self):
+        from repro.obs.trace import Tracer
+        from repro.semiring.backends import plan_physical
+        from repro.stdlib import transitive_closure_product
+
+        expression = transitive_closure_product()
+        instance = self._closure_instance(7)
+        plan = compile_expression(expression, instance.schema)
+        picked = plan_physical(plan, instance, None)
+        assert "sparse" in picked.backends, picked.notes
+        tracer = Tracer(sample_rate=1.0)
+        with Engine(trace=tracer) as engine:
+            result = engine.submit(expression, instance).result(60)
+            snapshot = engine.stats()
+        assert np.array_equal(result, evaluate(expression, instance))
+        assert snapshot.fallback_requests == 1
+        ran_on = {span.args["backend"] for span in tracer.spans() if span.category == "kernel"}
+        assert ran_on == set(picked.backends)
+
+    def test_a_group_with_no_batched_counterpart_runs_per_instance(self, monkeypatch):
+        import repro.matlang.evaluator as evaluator_module
+        from repro.semiring import backends as backends_module
+        from repro.semiring.backends import DenseExecutionBackend, register_backend
+        from repro.stdlib import transitive_closure_product
+
+        powers = []
+
+        class CustomSparse(DenseExecutionBackend):
+            """A caller-registered "sparse" backend with no batched form."""
+
+            name = "sparse"
+
+            def power(self, value, count):
+                powers.append(value.shape)
+                return super().power(value, count)
+
+        batch_calls = []
+        original_batch = evaluator_module.execute_plan_batch
+
+        def counting(plan, backend, instances, functions, **kwargs):
+            batch_calls.append(len(instances))
+            return original_batch(plan, backend, instances, functions, **kwargs)
+
+        monkeypatch.setattr(evaluator_module, "execute_plan_batch", counting)
+        expression = transitive_closure_product()
+        instances = [self._closure_instance(seed) for seed in range(3)]
+        plan = compile_expression(expression, instances[0].schema)
+        original = backends_module._BACKEND_FACTORIES["sparse"]
+        register_backend("sparse", CustomSparse, overwrite=True)
+        try:
+            assert backends_module.plan_physical(plan, instances[0], None, batch_size=3).batch_mode is None
+            expected = [evaluate(expression, instance) for instance in instances]
+            assert len(powers) == 3
+            swept = evaluator_module.run_plan_batch(plan, instances, default_registry())
+            assert batch_calls == [] and len(powers) == 6
+            with Engine(policy=CoalescingPolicy(max_delay=0.05)) as engine:
+                futures = engine.submit_many((expression, inst) for inst in instances)
+                served = [future.result(60) for future in futures]
+                snapshot = engine.stats()
+            assert batch_calls == [] and len(powers) == 9
+        finally:
+            register_backend("sparse", original, overwrite=True)
+        assert snapshot.fallback_requests == 3 and snapshot.batched_requests == 0
+        for want, got_swept, got_served in zip(expected, swept, served):
+            assert np.array_equal(got_swept, want)
+            assert np.array_equal(got_served, want)
 
 
 class TestEngineErrors:
@@ -354,20 +434,39 @@ class TestRequestQueue:
         instance = _instance_for(REAL, 3, 0)
         assert queue.put_many([_fake_request(plan, instance)]) == 0
 
-    def test_coalesce_groups_by_plan_and_signature(self):
+    def test_coalesce_groups_by_plan_and_semiring(self):
         plan_a, plan_b = _FakePlan(), _FakePlan()
         small = _instance_for(REAL, 3, 0)
         large = _instance_for(REAL, 5, 0)
+        natural = _instance_for(NATURAL, 3, 0)
         requests = [
             _fake_request(plan_a, small),
             _fake_request(plan_b, small),
             _fake_request(plan_a, small),
             _fake_request(plan_a, large),
+            _fake_request(plan_a, natural),
         ]
         groups = coalesce(requests)
-        assert [len(group) for group in groups] == [2, 1, 1]
-        assert groups[0].requests[0] is requests[0]
-        assert groups[0].requests[1] is requests[2]
+        # Dimensions do not split a group: the chunker does (see
+        # test_chunker_splits_a_group_by_dimensions).
+        assert [len(group) for group in groups] == [3, 1, 1]
+        assert groups[0].requests == [requests[0], requests[2], requests[3]]
+        assert groups[1].requests == [requests[1]]
+        assert groups[2].requests == [requests[4]]
+
+    def test_chunker_splits_a_group_by_dimensions(self):
+        from repro.matlang.evaluator import plan_chunks
+
+        instances = [_instance_for(REAL, size, seed) for seed, size in enumerate((3, 5, 3, 5, 3))]
+        plan = compile_expression(_sum_workload(), instances[0].schema)
+        chunks = list(plan_chunks(plan, instances, ragged=False))
+        assert [(chunk.positions, chunk.lane) for chunk in chunks] == [
+            ([0, 2, 4], "dense"),
+            ([1, 3], "dense"),
+        ]
+        for chunk in chunks:
+            for instance in chunk.instances:
+                assert instance.dimensions == chunk.instances[0].dimensions
 
 
 class TestQueryFuture:
