@@ -1,10 +1,10 @@
-"""P8 — Sharded multi-process serving: worker pool, shm transport, result memo.
+"""P8 — Sharded multi-process serving: worker pool, result memo.
 
 Reproduction-specific experiment for the pooled serving tier
 (:mod:`repro.service.pool`): the engine as a router over N forked workers,
 each running the PR 6 scheduler/coalescer loop over its own plan-cache
-shard, with matrix payloads crossing the process boundary through
-shared-memory rings and finished results memoized across requests.
+shard, with matrix payloads pickled across the process boundary over
+each worker's control pipe and finished results memoized across requests.
 
 Measurement honesty
 -------------------
@@ -28,7 +28,7 @@ Claims asserted (also under ``--benchmark-disable``, so CI checks them):
   **5x faster** than the cold run of the same stream, with the memo
   telemetry accounting for every hit;
 * pooled results are **bitwise-equal** to sequential evaluation on every
-  registered semiring (provenance riding the pickle fallback);
+  registered semiring;
 * killing a worker mid-burst resolves **every** submitted future — with
   the correct result where the one-shot rescue landed, with
   ``WorkerCrashError`` where it was exhausted — and the respawned shard

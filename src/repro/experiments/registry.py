@@ -196,10 +196,9 @@ _EXPERIMENTS: Tuple[ExperimentInfo, ...] = (
     ExperimentInfo(
         "P8",
         "Reproduction-specific",
-        "Sharded multi-process serving: worker pool, shm transport and result memo",
+        "Sharded multi-process serving: worker pool and result memo",
         (
             "repro.service.pool",
-            "repro.service.shm",
             "repro.service.router",
             "repro.service.memo",
             "repro.service.server",

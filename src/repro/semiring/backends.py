@@ -1171,11 +1171,6 @@ class PhysicalPlan:
             return "mixed"
         return None
 
-    @property
-    def batchable(self) -> bool:
-        """Whether this plan can join a batched execution (any mode)."""
-        return self.batch_mode is not None
-
     def batched_backends(self, batch_size: int) -> Dict[str, ExecutionBackend]:
         """Live batched backends for every tag this plan's ops use."""
         if self.batch_mode is None:

@@ -8,19 +8,17 @@ signature into single stacked kernel calls — turning the batched execution
 layer (PR 3) from an API one caller uses on a list into a property of the
 whole system under concurrent load.  With ``workers=N`` the engine becomes
 a router over N forked worker processes, each running that same scheduler
-loop over its own plan-cache shard, with instance payloads shipped over
-shared-memory rings and results memoized across requests.
+loop over its own plan-cache shard, with requests and results pickled
+over each worker's control pipe and results memoized across requests.
 
 * :mod:`repro.service.engine` — the engine: submission API (sync, bulk,
   asyncio), the scheduler thread or the pooled router, and the result memo.
 * :mod:`repro.service.batching` — request intake: the coalescing policy
   knobs, the backpressured queue and micro-batch formation.
 * :mod:`repro.service.pool` — the forked worker pool: shard lifecycle,
-  crash rescue, and the control-pipe + shm-ring transport.
+  crash rescue, and the control-pipe transport.
 * :mod:`repro.service.router` — the shard router hashing a request's
   coalescing identity to a worker.
-* :mod:`repro.service.shm` — the single-producer/single-consumer
-  shared-memory ring buffer the matrix payloads ride.
 * :mod:`repro.service.memo` — the bounded cross-request result memo.
 * :mod:`repro.service.aio` — the asyncio bridge behind ``Engine.asubmit``.
 * :mod:`repro.service.server` — a length-prefixed TCP protocol for

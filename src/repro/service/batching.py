@@ -381,10 +381,6 @@ class DispatchGroup:
     def __len__(self) -> int:
         return len(self.requests)
 
-    @property
-    def instances(self) -> List[Any]:
-        return [request.instance for request in self.requests]
-
 
 def coalesce(requests: List[QueryRequest]) -> List[DispatchGroup]:
     """Fold drained requests into dispatch groups, preserving intake order.

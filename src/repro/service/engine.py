@@ -57,13 +57,12 @@ the **router** of a sharded multi-process tier.  Each request is compiled
 :class:`~repro.service.memo.ResultMemo`, and on a miss hashed by its
 coalescing identity to one of N forked worker processes
 (:mod:`repro.service.pool`), each of which runs this same engine class
-in-process over its own plan-cache shard.  Instance matrices travel as raw
-bytes over per-worker shared-memory rings (:mod:`repro.service.shm`);
-results come back the same way; object-dtype semirings (provenance) ride a
-pickle fallback.  The correctness contract is unchanged — results are
-bitwise-equal to sequential ``evaluate`` on every semiring — and a worker
-crash resolves only the futures in flight on that worker (one rescue
-attempt each) while the shard respawns.
+in-process over its own plan-cache shard.  Instance matrices travel
+pickled, in the caller's own memory layout, over the worker's control
+pipe; results come back the same way.  The correctness contract is
+unchanged — results are bitwise-equal to sequential ``evaluate`` on every
+semiring — and a worker crash resolves only the futures in flight on that
+worker (one rescue attempt each) while the shard respawns.
 """
 
 from __future__ import annotations
@@ -177,7 +176,6 @@ class Engine:
         memoize: Optional[bool] = None,
         memo_capacity: int = 512,
         memo_bytes: int = 64 * 1024 * 1024,
-        ring_capacity: Optional[int] = None,
         trace: Any = None,
     ) -> None:
         from repro.matlang.functions import default_registry
@@ -251,7 +249,6 @@ class Engine:
                 backend=backend,
                 options=options,
                 profile_feedback=profile_feedback,
-                ring_capacity=ring_capacity,
                 stats=self._stats,
                 on_profile_state=(
                     self._profiler.merge_state if self._profiler is not None else None
@@ -793,27 +790,8 @@ class Engine:
             return  # compile error already delivered through the future
         if not self._admit(request):
             return  # shed: typed error already delivered through the future
-        memo = self._memo
-        key = None
-        if memo is not None:
-            key, hit = memo.lookup(request.plan, instance)
-            if hit is not None:
-                self._stats.record_submitted(1)
-                self._stats.record_memo_hit(
-                    time.perf_counter() - request.submitted_at, memo.bytes
-                )
-                context = request.trace
-                if context is not None:
-                    context.add_perf(
-                        "memo", "serving", request.submitted_at,
-                        time.perf_counter() - request.submitted_at, {"hit": True},
-                    )
-                    if self._tracer is not None:
-                        self._tracer.finish(context)
-                future._finish(hit, None)
-                return
-            if key is not None:
-                self._stats.record_memo_miss(memo.bytes)
+        if self._memo_lookup(request):
+            return  # answered from the memo
         self._stats.record_submitted(1)
         if request.cost_estimate:
             self._stats.record_cost(request.cost_estimate)
@@ -822,7 +800,7 @@ class Engine:
                 request.plan,
                 instance,
                 future,
-                key,
+                request.memo_key,
                 request.submitted_at,
                 deadline_at=request.deadline_at,
                 cost=request.cost_estimate,

@@ -4,8 +4,8 @@ Robustness behaviour — crash rescue, watchdog kills, deadline shedding,
 circuit breaking, transport fallbacks — is only trustworthy if it can be
 *exercised on demand*.  Real crashes are rare and non-reproducible; this
 module threads seedable, programmatically-armed injection points through
-the serving tier (:mod:`repro.service.pool`, :mod:`repro.service.shm`,
-:mod:`repro.service.engine`, :mod:`repro.service.server`) so the chaos
+the serving tier (:mod:`repro.service.pool`, :mod:`repro.service.engine`,
+:mod:`repro.service.server`) so the chaos
 suite can drive a request stream through a *scheduled* storm of worker
 crashes, slow ops, transport failures and dropped sockets — and assert
 the tier's invariants hold.
@@ -38,7 +38,7 @@ A :class:`FaultSpec` arms one *site* (a string name) with one *action*:
     ``time.sleep(spec.seconds)`` — a stuck kernel / GC stall stand-in.
 ``"deny"``
     No side effect; the *call site* checks :meth:`FaultInjector.deny` and
-    takes its degraded path (a full shm ring, a dropped socket).
+    takes its degraded path (a silent heartbeat, a dropped socket).
 
 Whether a spec fires on a given hit is deterministic given the seed:
 ``every=k`` fires every k-th hit of the site, ``on_hits={…}`` fires on an

@@ -6,27 +6,29 @@ own shard of the plan cache and (with profile feedback on) its own
 :class:`~repro.profile.ExecutionProfiler`.  The parent's pooled engine is
 reduced to a router: it compiles, memoizes, hashes the request's
 coalescing identity to a shard (:class:`~repro.service.router.ShardRouter`)
-and ships the instance over that worker's shared-memory ring
-(:mod:`repro.service.shm`), with a pickle-over-pipe fallback for
-object-dtype semirings and payloads that outgrow the ring.
+and sends the request down that worker's control pipe.
 
-Protocol (control pipe; payload bytes ride the rings)
------------------------------------------------------
+Protocol (one duplex control pipe per worker)
+---------------------------------------------
 parent -> worker::
 
     ("plan",     plan_id, payload, schema)         register a compiled plan
     ("semiring", pickled_semiring)                 register a late semiring
-    ("submit",   task_id, plan_id, semiring, dims, descriptors, remaining, trace)
-    ("psubmit",  task_id, plan_id, semiring, dims, pickled_matrices, remaining, trace)
+    ("submit",   task_id, plan_id, semiring, dims, pickled_matrices, remaining, trace)
     ("stats",)  ("profile",)  ("stop",)
 
 worker -> parent::
 
-    ("result",    task_id, dtype, shape, nbytes, spans)  payload in the ring
-    ("result_p",  task_id, pickled_result, spans)
+    ("result",    task_id, pickled_result, spans)
     ("error",     task_id, pickled_exception, spans)
     ("heartbeat", wallclock, profiler_state_or_None)
     ("stats", snapshot)  ("profile", state)  ("stopped", profiler_state)
+
+Matrices and results are pickled exactly as they are laid out (a
+Fortran-ordered matrix reaches the worker Fortran-ordered, so its kernels
+see the operands ``evaluate`` would), and each payload is pickled apart
+from its message: the message header always decodes, so a payload the
+receiver cannot decode fails only its own task.
 
 ``trace`` is ``None`` for the (overwhelmingly common) untraced request, or
 ``(trace_id, label)`` for a request the router's tracer sampled: the
@@ -43,17 +45,7 @@ directly on the router trace's time axis.
 processes, so an absolute deadline cannot travel — the worker re-anchors
 it against its own clock on receipt.  An already-expired task is answered
 with :class:`~repro.exceptions.DeadlineExceededError` without executing,
-both router-side at dispatch and worker-side at receipt (the check runs
-only after every announced ring byte is drained; the framing discipline
-outranks the deadline).
-
-Because each ring has one producer and one consumer and the announcing
-pipe message is sent only *after* the ring write, the pipe's FIFO order is
-the framing: the receiver reads exactly the announced byte count.  The
-corollary is that the receiver must consume exactly the announced bytes
-even when it cannot *use* them — a submit whose descriptors fail to
-decode drains the payload before replying with the error, because a
-skipped byte would desynchronize every later read on the ring.
+both router-side at dispatch and worker-side at receipt.
 
 Semirings are resolved by name in the worker against the registry it
 inherited at fork; a semiring registered in the parent *after* the pool
@@ -122,7 +114,6 @@ from repro.exceptions import (
 from repro.service import faults
 from repro.service.health import CircuitBreaker, Watchdog, backoff_delays
 from repro.service.router import ShardRouter
-from repro.service.shm import ShmRing
 
 __all__ = ["WorkerCrashError", "WorkerPool"]
 
@@ -141,19 +132,6 @@ def _reinit_module_locks() -> None:
     compiler._PLAN_CACHE_LOCK = threading.RLock()
     compiler._PLAN_CACHE.clear()
     profile_module._LOCK = threading.Lock()
-
-
-def _discard_ring_bytes(ring: ShmRing, nbytes: int) -> None:
-    """Consume and drop ``nbytes`` announced bytes from ``ring``.
-
-    The error path of a submit whose payload cannot be decoded: the
-    producer already wrote (and accounted) these bytes, so they must be
-    read exactly once even though nobody wants them.
-    """
-    while nbytes > 0:
-        span = min(nbytes, ring.capacity)
-        ring.read(span)
-        nbytes -= span
 
 
 def _rebuild_instance(schema, dimensions, semiring, matrices):
@@ -185,8 +163,6 @@ _PROFILE_EVERY_BEATS = 5
 def _worker_main(
     index: int,
     connection,
-    request_ring: ShmRing,
-    result_ring: ShmRing,
     policy,
     functions,
     backend,
@@ -230,25 +206,9 @@ def _worker_main(
                 return
             if faults.ACTIVE is not None:
                 faults.ACTIVE.fire("worker.ship", worker=index, task=task_id)
-            result = np.ascontiguousarray(future.result())
-            if result.dtype != object and result.nbytes <= result_ring.capacity:
-                with send_lock:
-                    if result_ring.write([result.data], timeout=2.0):
-                        connection.send(
-                            (
-                                "result",
-                                task_id,
-                                result.dtype.str,
-                                result.shape,
-                                result.nbytes,
-                                spans,
-                            )
-                        )
-                        return
-                    connection.send(("result_p", task_id, pickle.dumps(result), spans))
-                return
+            payload = pickle.dumps(future.result())
             with send_lock:
-                connection.send(("result_p", task_id, pickle.dumps(result), spans))
+                connection.send(("result", task_id, payload, spans))
         except Exception as error:
             try:
                 ship_error(task_id, error, spans)
@@ -282,7 +242,7 @@ def _worker_main(
         target=heartbeat_loop, name=f"repro-worker-{index}-hb", daemon=True
     ).start()
 
-    def handle_submit(message, pickled: bool) -> None:
+    def handle_submit(message) -> None:
         _, task_id, plan_id, semiring_name, dimensions, payload, remaining, trace_wire = (
             message
         )
@@ -291,46 +251,7 @@ def _worker_main(
             from repro.obs.trace import TraceContext
 
             trace_context = TraceContext(trace_wire[0], trace_wire[1])
-        failure: Optional[BaseException] = None
-        matrices: Dict[str, Any] = {}
-        if pickled:
-            try:
-                matrices = pickle.loads(payload)
-            except Exception as error:
-                failure = error
-        else:
-            # The parent wrote (and accounted) every announced byte before
-            # sending this message, so every descriptor's bytes must be
-            # consumed here exactly once — even after a decode failure —
-            # or the ring head desynchronizes and every later shm submit
-            # on this worker silently reads the wrong bytes.
-            for name, dtype_str, shape, nbytes in payload:
-                array = None
-                if failure is None:
-                    try:
-                        candidate = np.empty(shape, dtype=np.dtype(dtype_str))
-                        if candidate.nbytes == nbytes:
-                            array = candidate
-                        else:
-                            failure = ValueError(
-                                f"descriptor for {name!r} announces {nbytes} "
-                                f"bytes but {dtype_str}{shape} holds "
-                                f"{candidate.nbytes}"
-                            )
-                    except Exception as error:
-                        failure = error
-                try:
-                    if array is not None:
-                        request_ring.read_into(
-                            array.reshape(-1).view(np.uint8).data
-                        )
-                        matrices[name] = array
-                    else:
-                        _discard_ring_bytes(request_ring, nbytes)
-                except Exception as error:  # the ring itself failed
-                    if failure is None:
-                        failure = error
-        if failure is None and remaining is not None and remaining <= 0:
+        if remaining is not None and remaining <= 0:
             # Expired in transit (or rescued onto this worker too late):
             # answer with the typed error without executing — and without
             # visiting the worker.task fault site, so a rescued task cannot
@@ -342,18 +263,14 @@ def _worker_main(
                 ),
             )
             return
-        if failure is None:
-            # Fallible lookups only after the ring is fully drained.
-            try:
-                plan = plans[plan_id]
-                semiring = get_semiring(semiring_name)
-                instance = _rebuild_instance(
-                    schemas[plan_id], dimensions, semiring, matrices
-                )
-            except Exception as error:
-                failure = error
-        if failure is not None:
-            ship_error(task_id, failure)
+        try:
+            plan = plans[plan_id]
+            semiring = get_semiring(semiring_name)
+            instance = _rebuild_instance(
+                schemas[plan_id], dimensions, semiring, pickle.loads(payload)
+            )
+        except Exception as error:
+            ship_error(task_id, error)
             return
         if faults.ACTIVE is not None:
             # The canonical chaos site: ``crash`` simulates a segfaulting
@@ -380,12 +297,10 @@ def _worker_main(
         try:
             message = connection.recv()
         except (EOFError, OSError):
-            break  # parent went away: exit without unlinking anything
+            break  # parent went away
         kind = message[0]
         if kind == "submit":
-            handle_submit(message, pickled=False)
-        elif kind == "psubmit":
-            handle_submit(message, pickled=True)
+            handle_submit(message)
         elif kind == "plan":
             from repro.matlang.ir import deserialize_plan
 
@@ -413,8 +328,6 @@ def _worker_main(
                 connection.send(("stopped", profiler_state()))
             break
     stop_heartbeat.set()
-    request_ring.close()
-    result_ring.close()
     connection.close()
 
 
@@ -487,8 +400,6 @@ class _WorkerHandle:
         self.index = index
         self.process: Optional[Any] = None
         self.connection: Optional[Any] = None
-        self.request_ring: Optional[ShmRing] = None
-        self.result_ring: Optional[ShmRing] = None
         self.send_lock = threading.Lock()
         self.control_lock = threading.Lock()
         self.replies: "queue.Queue" = queue.Queue()
@@ -666,7 +577,6 @@ class WorkerPool:
         backend=None,
         options=None,
         profile_feedback: bool = False,
-        ring_capacity: Optional[int] = None,
         stats=None,
         on_profile_state: Optional[Callable[[Any], None]] = None,
     ) -> None:
@@ -686,7 +596,6 @@ class WorkerPool:
         self._backend = backend
         self._options = options
         self._profile_feedback = profile_feedback
-        self._ring_capacity = ring_capacity
         self._stats = stats
         self._on_profile_state = on_profile_state
         self._lock = threading.Lock()
@@ -737,19 +646,12 @@ class WorkerPool:
             self._stats.record_respawn()
 
         with self._fork_lock:
-            capacity = self._ring_capacity
-            rings = (
-                ShmRing() if capacity is None else ShmRing(capacity),
-                ShmRing() if capacity is None else ShmRing(capacity),
-            )
             parent_conn, child_conn = self._context.Pipe(duplex=True)
             process = self._context.Process(
                 target=_worker_main,
                 args=(
                     handle.index,
                     child_conn,
-                    rings[0],
-                    rings[1],
                     self._policy,
                     self._functions,
                     self._backend,
@@ -767,7 +669,6 @@ class WorkerPool:
             child_conn.close()
         handle.process = process
         handle.connection = parent_conn
-        handle.request_ring, handle.result_ring = rings
         handle.registered = set()
         handle.semirings = known_semirings
         handle.inflight = {}
@@ -800,17 +701,6 @@ class WorkerPool:
                 return
             kind = message[0]
             if kind == "result":
-                _, task_id, dtype_str, shape, nbytes, spans = message
-                array = np.empty(shape, dtype=np.dtype(dtype_str))
-                try:
-                    handle.result_ring.read_into(
-                        array.reshape(-1).view(np.uint8).data
-                    )
-                except Exception as error:
-                    self._complete(handle, task_id, None, error, spans)
-                    continue
-                self._complete(handle, task_id, array, None, spans)
-            elif kind == "result_p":
                 _, task_id, payload, spans = message
                 try:
                     result = pickle.loads(payload)
@@ -900,22 +790,20 @@ class WorkerPool:
             for _ in range(tripped):
                 self._stats.record_quarantine_trip()
             self._stats.set_quarantine_open(self.breaker.open_count())
-        # The send lock serializes the swap against any _send_task that
-        # already passed its liveness check: without it, a submit thread can
-        # interleave its ring write and pipe send across the teardown/spawn
-        # boundary — leaving announced-to-nobody bytes in the *fresh* ring,
-        # after which every later shm submit on this worker silently decodes
-        # shifted payloads.  (The in-flight sender then targets the old ring
-        # and pipe wholesale; both die with the old worker, harmlessly.)
+        # The send lock keeps a _send_task that already passed its liveness
+        # check on one pipe: without it, a sender could register its plan
+        # with the old worker and submit to the new one, which has never
+        # seen the plan.  (The in-flight sender then targets the old pipe
+        # wholesale; it dies with the old worker, harmlessly.)
         with handle.send_lock:
             self._teardown_handle(handle)
             # Re-read _closed *after* teardown: a shutdown that started
             # since this death was claimed may already be past this handle
-            # in its stop loop, and a worker (and its rings) spawned now
-            # would never be torn down.  If shutdown instead flips _closed
-            # right after this check, it has yet to visit this handle — it
-            # will block on send_lock until the spawn finishes, then stop
-            # and tear down the replacement normally.
+            # in its stop loop, and a worker spawned now would never be
+            # torn down.  If shutdown instead flips _closed right after
+            # this check, it has yet to visit this handle — it will block
+            # on send_lock until the spawn finishes, then stop and tear
+            # down the replacement normally.
             with self._lock:
                 closed = closed or self._closed
             if not closed:
@@ -955,10 +843,6 @@ class WorkerPool:
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.kill()
                 process.join(timeout=5.0)
-        for ring in (handle.request_ring, handle.result_ring):
-            if ring is not None:
-                ring.destroy()
-        handle.request_ring = handle.result_ring = None
 
     # ------------------------------------------------------------------
     # Submission
@@ -1119,11 +1003,7 @@ class WorkerPool:
             None if task.trace is None else (task.trace.trace_id, task.trace.label)
         )
         instance = task.instance
-        matrices = instance.matrices
-        names = sorted(matrices)
-        arrays = [np.ascontiguousarray(matrices[name]) for name in names]
-        shippable = all(array.dtype != object for array in arrays)
-        total = sum(array.nbytes for array in arrays)
+        matrices = pickle.dumps(instance.matrices)
         with handle.send_lock:
             if not handle.alive:
                 raise WorkerCrashError(f"worker {handle.index} is down")
@@ -1144,62 +1024,24 @@ class WorkerPool:
                 handle.semirings.add(instance.semiring.name)
             # Sampled at send time: the wire carries seconds-left, which the
             # worker re-anchors against its own perf_counter epoch.
-            remaining = task.remaining()
-            if (
-                shippable
-                and total <= handle.request_ring.capacity
-                and handle.request_ring.write(
-                    [array.data for array in arrays],
-                    timeout=2.0,
-                    # A dead consumer never frees ring space: bail out of
-                    # the backpressure wait the moment the death is known
-                    # instead of serializing every sender behind the full
-                    # write timeout.
-                    abort=lambda: not handle.alive,
+            handle.connection.send(
+                (
+                    "submit",
+                    task.task_id,
+                    plan_id,
+                    instance.semiring.name,
+                    dict(instance.dimensions),
+                    matrices,
+                    task.remaining(),
+                    trace_wire,
                 )
-            ):
-                descriptors = tuple(
-                    (name, array.dtype.str, array.shape, array.nbytes)
-                    for name, array in zip(names, arrays)
-                )
-                handle.connection.send(
-                    (
-                        "submit",
-                        task.task_id,
-                        plan_id,
-                        instance.semiring.name,
-                        dict(instance.dimensions),
-                        descriptors,
-                        remaining,
-                        trace_wire,
-                    )
-                )
-                transport = "shm"
-            else:
-                if not handle.alive:
-                    # The ring wait aborted because the worker died under
-                    # us; fail fast so the rescue path takes over rather
-                    # than pickling megabytes into a pipe nobody reads.
-                    raise WorkerCrashError(f"worker {handle.index} is down")
-                handle.connection.send(
-                    (
-                        "psubmit",
-                        task.task_id,
-                        plan_id,
-                        instance.semiring.name,
-                        dict(instance.dimensions),
-                        pickle.dumps({name: matrices[name] for name in names}),
-                        remaining,
-                        trace_wire,
-                    )
-                )
-                transport = "pickle"
+            )
         if task.trace is not None:
             sent_at = time.perf_counter()
             task.sent_at = sent_at
             task.trace.add_perf(
                 "ship", "serving", ship_started, sent_at - ship_started,
-                {"worker": handle.index, "transport": transport, "bytes": total},
+                {"worker": handle.index, "transport": "pickle", "bytes": len(matrices)},
             )
 
     # ------------------------------------------------------------------
@@ -1301,7 +1143,7 @@ class WorkerPool:
     # Shutdown
     # ------------------------------------------------------------------
     def shutdown(self, timeout: float = 30.0) -> List[Any]:
-        """Stop every worker, harvest final profiler states, free segments.
+        """Stop every worker and harvest their final profiler states.
 
         Pending requests drain first (each worker's inner engine finishes
         its queue before acknowledging the stop), so every submitted future

@@ -373,7 +373,7 @@ class TestTracedEngine:
         tree = _span_tree(tracer)
         assert len(tree) == 8
         for stages in tree.values():
-            # Router-side stages plus the shm/pipe hop...
+            # Router-side stages plus the pipe hop...
             assert PIPELINE_STAGES | {"ship", "worker"} <= set(stages)
             # ...and worker-side kernel spans shipped back over the wire.
             kernel_spans = [

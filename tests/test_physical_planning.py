@@ -161,7 +161,6 @@ class TestPerOpAssignment:
         physical = plan_physical(plan, instance, None)
         assert physical.mixed
         # mixed CSR/dense plans batch since the block-diagonal lane landed
-        assert physical.batchable
         assert physical.batch_mode == "mixed"
         assert set(physical.backends) == {"dense", "sparse"}
         tags = {op.backend for op in physical.plan.ops}
@@ -682,7 +681,6 @@ class TestHarnessMixedPlans:
         workload = CompiledWorkload(MIXED_EXPRESSION, instances[0].schema)
         physical = workload.physical(instances[0])
         assert physical.mixed
-        assert physical.batchable
         assert physical.batch_mode == "mixed"
         expected = [evaluate(MIXED_EXPRESSION, inst) for inst in instances]
         for instance, want in zip(instances, expected):

@@ -2,21 +2,21 @@
 
 Covers the whole pooled stack and its satellites:
 
-* **transport** — the single-producer/single-consumer shared-memory ring
-  (roundtrips, wraparound, oversize refusal, timeout behaviour) and plan
-  wire serialization (roundtrip identity, version rejection);
+* **transport** — plan wire serialization (roundtrip identity, version
+  rejection) and the pickled request/result messages (large and
+  object-dtype payloads, Fortran-ordered operands, a worker-side failure
+  failing only its own request);
 * **routing** — the shard router's determinism and group-identity keying;
 * **memoization** — the bounded result memo (copy-out semantics, LRU and
   byte eviction, object-dtype refusal, profile-generation invalidation)
   and its engine integration (hit/miss/bytes telemetry, repeats resolving
-  without execution, both pooled and single-process);
+  without execution, the traced ``memo`` span, both pooled and
+  single-process);
 * **pooled correctness** — results bitwise-equal to sequential
-  ``evaluate`` on every registered semiring, including the object-dtype
-  pickle fallback;
+  ``evaluate`` on every registered semiring;
 * **worker lifecycle** — crash rescue (a killed worker's shard respawns
-  and only its in-flight futures are touched), shutdown-vs-submit races
-  resolving every future, and a ``/dev/shm`` sweep proving the suite
-  leaks no segments;
+  and only its in-flight futures are touched) and shutdown-vs-submit races
+  resolving every future;
 * **front ends** — the asyncio bridge (``asubmit`` / ``asubmit_many``)
   and the length-prefixed socket protocol (queries, bursts, stats, error
   propagation, magic rejection);
@@ -25,7 +25,6 @@ Covers the whole pooled stack and its satellites:
 """
 
 import asyncio
-import glob
 import pickle
 import socket
 import threading
@@ -44,6 +43,7 @@ from repro.matlang.ir import (
     serialize_plan,
 )
 from repro.exceptions import EvaluationError, SemiringError
+from repro.obs.trace import Tracer
 from repro.profile import (
     DEFAULT_PROFILE,
     ExecutionProfiler,
@@ -61,7 +61,6 @@ from repro.service import (
     ShardRouter,
     WorkerCrashError,
 )
-from repro.service.shm import SEGMENT_PREFIX, ShmRing
 
 ALL_SEMIRINGS = [REAL, NATURAL, INTEGER, BOOLEAN, MIN_PLUS, MAX_PLUS, PROVENANCE]
 
@@ -162,69 +161,6 @@ class TestPlanSerialization:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory ring
-# ----------------------------------------------------------------------
-class TestShmRing:
-    def test_roundtrip_and_wraparound(self):
-        ring = ShmRing(capacity=64)
-        try:
-            # Several writes larger than half the capacity force the copy
-            # to wrap; contents must survive byte-for-byte.
-            for round_number in range(8):
-                payload = bytes((round_number + i) % 256 for i in range(40))
-                assert ring.write([payload])
-                assert ring.read(len(payload)) == payload
-        finally:
-            ring.destroy()
-
-    def test_multi_chunk_write_is_contiguous(self):
-        ring = ShmRing(capacity=256)
-        try:
-            assert ring.write([b"abc", b"defg"])
-            assert ring.read(7) == b"abcdefg"
-        finally:
-            ring.destroy()
-
-    def test_oversized_payload_refused(self):
-        ring = ShmRing(capacity=16)
-        try:
-            assert not ring.write([b"x" * 17])
-            assert ring.used() == 0
-        finally:
-            ring.destroy()
-
-    def test_full_ring_times_out_without_partial_write(self):
-        ring = ShmRing(capacity=16)
-        try:
-            assert ring.write([b"a" * 12])
-            assert not ring.write([b"b" * 8], timeout=0.05)
-            assert ring.read(12) == b"a" * 12
-            assert ring.write([b"b" * 8])
-            assert ring.read(8) == b"b" * 8
-        finally:
-            ring.destroy()
-
-    def test_read_of_unannounced_bytes_times_out(self):
-        ring = ShmRing(capacity=16)
-        try:
-            with pytest.raises(TimeoutError):
-                ring.read(4, timeout=0.05)
-        finally:
-            ring.destroy()
-
-    def test_numpy_payloads_roundtrip(self):
-        ring = ShmRing(capacity=4096)
-        try:
-            array = np.random.default_rng(0).standard_normal((8, 8))
-            assert ring.write([np.ascontiguousarray(array).data])
-            out = np.empty_like(array)
-            ring.read_into(out.reshape(-1).view(np.uint8).data)
-            assert np.array_equal(out, array)
-        finally:
-            ring.destroy()
-
-
-# ----------------------------------------------------------------------
 # Shard routing
 # ----------------------------------------------------------------------
 class TestShardRouter:
@@ -316,8 +252,6 @@ class TestResultMemo:
 class TestPooledResults:
     @pytest.mark.parametrize("semiring", ALL_SEMIRINGS, ids=lambda s: s.name)
     def test_bitwise_equal_per_semiring(self, semiring):
-        # Provenance rides the pickle fallback (object dtype); the rest go
-        # through the shared-memory rings.
         expression = _workload()
         count = 4 if semiring.name == "provenance" else 10
         size = 3 if semiring.name == "provenance" else 6
@@ -329,21 +263,47 @@ class TestPooledResults:
         for expected, actual in zip(sequential, results):
             assert _entrywise_equal(actual, expected), semiring.name
 
-    def test_large_payload_falls_back_to_pipe(self):
-        # A ring sized below the instance forces the pickle path end-to-end.
+    def test_large_and_object_payloads_roundtrip(self):
+        # A 2 MiB float64 matrix and an object-dtype provenance matrix both
+        # cross the control pipe pickled and come back bitwise-equal.
         expression = _workload()
-        instance = _instance_for(REAL, 64, 3)  # 32KiB matrix
-        with Engine(workers=1, ring_capacity=1024, memoize=False) as engine:
-            result = engine.submit(expression, instance).result(60)
-        assert np.array_equal(result, evaluate(expression, instance))
+        instances = [_instance_for(REAL, 512, 3), _instance_for(PROVENANCE, 4, 3)]
+        assert instances[0].matrices["A"].nbytes == 2 * 1024 * 1024
+        with Engine(workers=1, memoize=False) as engine:
+            for instance in instances:
+                result = engine.submit(expression, instance).result(60)
+                assert _entrywise_equal(result, evaluate(expression, instance))
 
-    def test_worker_decode_error_does_not_desync_the_ring(self, monkeypatch):
-        # A worker-side failure *after* the parent has written the payload
-        # bytes (here: the semiring lookup raising) must still drain the
-        # announced bytes; a skipped payload used to desynchronize the ring
-        # permanently, making every later shm submit on that worker read
-        # the previous request's bytes as its matrices — silently wrong
-        # results with no error.
+    def test_fortran_ordered_operands_match_evaluate_bitwise(self):
+        # The worker must multiply the caller's own layout: a C-ordered
+        # copy of a Fortran-ordered REAL matrix sums in another order and
+        # drifts from evaluate() in the last bits of the matrix-vector
+        # products.
+        expressions = [
+            _workload(),
+            ssum("_v", var("_v").T @ var("A") @ var("_v")) * (var("A") @ var("A")),
+            var("A") @ var("A") @ var("A"),
+        ]
+        instances = []
+        for size in (16, 48):
+            for seed in range(3):
+                matrix = np.random.default_rng(seed).standard_normal((size, size))
+                instance = Instance.from_matrices(
+                    {"A": np.asfortranarray(matrix)}, semiring=REAL
+                )
+                assert instance.matrices["A"].flags.f_contiguous
+                instances.append(instance)
+        with Engine(workers=1, memoize=False) as engine:
+            for expression in expressions:
+                for instance in instances:
+                    got = engine.submit(expression, instance).result(60)
+                    want = evaluate(expression, instance)
+                    assert np.array_equal(got, want), (str(expression), instance)
+
+    def test_worker_side_failure_fails_only_its_own_request(self, monkeypatch):
+        # A request that fails inside the worker before it executes (here:
+        # the semiring lookup raising) resolves with its own error, and the
+        # next requests on the same worker come back right.
         import repro.semiring.registry as registry
 
         real_lookup = registry.get_semiring
@@ -497,6 +457,23 @@ class TestEngineMemo:
         assert np.array_equal(first, second)
         assert snapshot.memo_hits == 1
 
+    @pytest.mark.parametrize(
+        "options", [{"memoize": True}, {"workers": 1}], ids=["in-process", "pooled"]
+    )
+    def test_repeat_records_one_memo_hit_span(self, options):
+        expression = _workload()
+        instance = _instance_for(REAL, 6, 3)
+        tracer = Tracer(sample_rate=1.0)
+        with Engine(trace=tracer, **options) as engine:
+            first = engine.submit(expression, instance).result(30)
+            second = engine.submit(expression, instance).result(30)
+            snapshot = engine.stats()
+        assert np.array_equal(first, second)
+        memo_spans = [span for span in tracer.spans() if span.name == "memo"]
+        assert len(memo_spans) == 1
+        assert memo_spans[0].args == {"hit": True}
+        assert (snapshot.memo_hits, snapshot.memo_misses) == (1, 1)
+
     def test_memoization_off_by_default_single_process(self):
         with Engine() as engine:
             assert engine.memo_info() is None
@@ -626,15 +603,6 @@ class TestWorkerLifecycle:
             assert np.array_equal(
                 future.result(30), evaluate(expression, instance)
             )
-
-    def test_no_leaked_shm_segments(self):
-        # Runs after the lifecycle tests above (including kill -9 paths);
-        # any surviving repro-svc segment is a cleanup bug.
-        expression = _workload()
-        with Engine(workers=2) as engine:
-            engine.submit(expression, _instance_for(REAL, 6, 0)).result(30)
-        leaked = glob.glob(f"/dev/shm/{SEGMENT_PREFIX}-*")
-        assert leaked == []
 
 
 # ----------------------------------------------------------------------

@@ -18,15 +18,13 @@ Covers the four coupled tentpole pieces and the satellites:
 * **scheduler death** — an unexpected scheduler exception resolves every
   pending and in-flight future with
   :class:`~repro.exceptions.EngineDiedError` instead of hanging;
-* **transport degradation** — injected shm-ring write failures falling
-  back to pipe pickling, and injected socket drops mid-frame;
+* **transport degradation** — injected socket drops mid-frame;
 * **server failure paths** — client disconnects mid-frame, truncated
   length prefixes, handler exceptions inside a burst, connect timeouts;
 * **profiler plumbing** — worker profiler state merging into the parent
   on the heartbeat cadence, without waiting for shutdown.
 """
 
-import glob
 import socket
 import struct
 import time
@@ -56,7 +54,6 @@ from repro.service import (
 )
 from repro.service.faults import FaultInjector, InjectedFault, injected_faults
 from repro.service.health import CircuitBreaker, backoff_delays
-from repro.service.shm import SEGMENT_PREFIX
 
 
 @pytest.fixture(autouse=True)
@@ -434,20 +431,6 @@ class TestPooledHealing:
         assert snapshot.worker_respawns >= 1
         assert "watchdog=" in snapshot.render()
 
-    def test_shm_write_failure_degrades_to_pipe_pickling(self):
-        expression = _workload()
-        instances = [_instance(seed=seed) for seed in range(10)]
-        expected = [evaluate(expression, instance) for instance in instances]
-        with injected_faults(seed=11) as injector:
-            injector.arm("shm.write", "deny", every=2)
-            with Engine(workers=1, memoize=False) as engine:
-                futures = [
-                    engine.submit(expression, instance) for instance in instances
-                ]
-                for future, want in zip(futures, expected):
-                    assert np.array_equal(future.result(60), want)
-        assert injector.fired.get("shm.write", 0) >= 1
-
     def test_worker_profiles_merge_on_heartbeat_cadence(self):
         # The parent's profiler must see worker samples while the pool is
         # still serving — shipped piggybacked on heartbeats — not only at
@@ -465,11 +448,6 @@ class TestPooledHealing:
                     break
                 time.sleep(0.05)
             assert engine._profiler.sample_count() > 0
-
-    def test_no_leaked_shm_segments_after_healing(self):
-        # Crash + watchdog paths above must leave /dev/shm clean.
-        leaked = glob.glob(f"/dev/shm/{SEGMENT_PREFIX}-*")
-        assert leaked == []
 
 
 # ----------------------------------------------------------------------
