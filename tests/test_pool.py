@@ -4,7 +4,9 @@ Covers the whole pooled stack and its satellites:
 
 * **transport** — plan wire serialization (roundtrip identity, version
   rejection) and the pickled request/result messages (large and
-  object-dtype payloads, Fortran-ordered operands, a worker-side failure
+  object-dtype payloads, Fortran-ordered and mixed-layout operands, alone
+  and coalesced, large and small payloads in flight together, the
+  ``ship`` span, and a worker-side failure or an undecodable result
   failing only its own request);
 * **routing** — the shard router's determinism and group-identity keying;
 * **memoization** — the bounded result memo (copy-out semantics, LRU and
@@ -133,6 +135,32 @@ def _entrywise_equal(left, right):
 
 def _workload():
     return ssum("_v", var("A") @ var("_v"))
+
+
+def _fortran_instances(sizes=(16, 48), seeds=range(3)):
+    """REAL instances whose ``A`` is Fortran-ordered, as a caller may hold it."""
+    instances = []
+    for size in sizes:
+        for seed in seeds:
+            matrix = np.random.default_rng(seed).standard_normal((size, size))
+            instance = Instance.from_matrices(
+                {"A": np.asfortranarray(matrix)}, semiring=REAL
+            )
+            assert instance.matrices["A"].flags.f_contiguous
+            instances.append(instance)
+    return instances
+
+
+#: Expressions whose REAL kernels sum in an order that depends on the
+#: operand's memory layout (the matrix-vector products) or does not (the
+#: matrix products); a pooled result must match ``evaluate`` on all three.
+FORTRAN_EXPRESSIONS = {
+    "sum-Av": _workload(),
+    "quadratic-form-times-square": (
+        ssum("_v", var("_v").T @ var("A") @ var("_v")) * (var("A") @ var("A"))
+    ),
+    "cube": var("A") @ var("A") @ var("A"),
+}
 
 
 # ----------------------------------------------------------------------
@@ -274,31 +302,116 @@ class TestPooledResults:
                 result = engine.submit(expression, instance).result(60)
                 assert _entrywise_equal(result, evaluate(expression, instance))
 
-    def test_fortran_ordered_operands_match_evaluate_bitwise(self):
+    @pytest.mark.parametrize(
+        "expression", list(FORTRAN_EXPRESSIONS.values()), ids=list(FORTRAN_EXPRESSIONS)
+    )
+    def test_fortran_ordered_operands_match_evaluate_bitwise(self, expression):
         # The worker must multiply the caller's own layout: a C-ordered
         # copy of a Fortran-ordered REAL matrix sums in another order and
         # drifts from evaluate() in the last bits of the matrix-vector
-        # products.
-        expressions = [
-            _workload(),
-            ssum("_v", var("_v").T @ var("A") @ var("_v")) * (var("A") @ var("A")),
-            var("A") @ var("A") @ var("A"),
-        ]
-        instances = []
-        for size in (16, 48):
-            for seed in range(3):
-                matrix = np.random.default_rng(seed).standard_normal((size, size))
-                instance = Instance.from_matrices(
-                    {"A": np.asfortranarray(matrix)}, semiring=REAL
-                )
-                assert instance.matrices["A"].flags.f_contiguous
-                instances.append(instance)
+        # products.  Submitted one at a time, so no batch forms.
         with Engine(workers=1, memoize=False) as engine:
-            for expression in expressions:
-                for instance in instances:
-                    got = engine.submit(expression, instance).result(60)
-                    want = evaluate(expression, instance)
-                    assert np.array_equal(got, want), (str(expression), instance)
+            for instance in _fortran_instances():
+                got = engine.submit(expression, instance).result(60)
+                want = evaluate(expression, instance)
+                assert np.array_equal(got, want), (str(expression), instance)
+
+    def test_coalesced_fortran_operands_match_evaluate_bitwise(self):
+        # The same operands in flight together: the worker coalesces them
+        # into batches, and every batched result must still equal evaluate().
+        expression = FORTRAN_EXPRESSIONS["sum-Av"]
+        instances = _fortran_instances(sizes=(48,), seeds=range(12))
+        expected = [evaluate(expression, instance) for instance in instances]
+        with Engine(workers=1, memoize=False) as engine:
+            futures = engine.submit_many((expression, inst) for inst in instances)
+            results = [future.result(60) for future in futures]
+            (worker,) = engine.worker_stats()
+        for want, got in zip(expected, results):
+            assert np.array_equal(got, want)
+        assert worker.completed == len(instances)
+
+    def test_each_operand_keeps_its_own_layout(self):
+        # One request carries several matrices in different layouts; each
+        # must reach the worker under its own name and in its own order.
+        rng = np.random.default_rng(5)
+        instance = Instance.from_matrices(
+            {
+                "A": rng.standard_normal((24, 24)),
+                "B": np.asfortranarray(rng.standard_normal((24, 24))),
+                "u": rng.standard_normal((24, 1)),
+            },
+            semiring=REAL,
+        )
+        assert instance.matrices["A"].flags.c_contiguous
+        assert instance.matrices["B"].flags.f_contiguous
+        expression = ssum("_v", var("A") @ var("B") @ var("_v")) + var("B").T @ var("u")
+        with Engine(workers=1, memoize=False) as engine:
+            got = engine.submit(expression, instance).result(60)
+        assert np.array_equal(got, evaluate(expression, instance))
+
+    def test_large_and_small_requests_in_flight_resolve_to_their_own_results(self):
+        # 2 MiB and 288-byte payloads interleave on both workers' pipes;
+        # the sizes differ, so a result delivered to the wrong future would
+        # fail on its shape as well as its values.
+        expression = _workload()
+        instances = []
+        for seed in range(4):
+            instances.append(_instance_for(REAL, 512, seed))
+            instances.append(_instance_for(REAL, 6, seed))
+            instances.append(_instance_for(REAL, 6, seed + 10))
+        expected = [evaluate(expression, instance) for instance in instances]
+        with Engine(workers=2, memoize=False) as engine:
+            futures = [engine.submit(expression, inst) for inst in instances]
+            results = [future.result(60) for future in futures]
+        for want, got in zip(expected, results):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_ship_span_reports_the_pickled_payload(self):
+        expression = _workload()
+        instance = _instance_for(REAL, 48, 0)
+        tracer = Tracer(sample_rate=1.0)
+        with Engine(workers=1, memoize=False, trace=tracer) as engine:
+            engine.submit(expression, instance).result(30)
+        ship_spans = [span for span in tracer.spans() if span.name == "ship"]
+        assert len(ship_spans) == 1
+        args = ship_spans[0].args
+        assert args["worker"] == 0
+        assert args["transport"] == "pickle"
+        # The pickled matrices: every byte of A plus the dict's framing.
+        assert args["bytes"] > instance.matrices["A"].nbytes
+
+    def test_undecodable_result_fails_only_its_own_request(self, monkeypatch):
+        # The router decodes each result payload apart from its message, so
+        # a payload it cannot decode fails that request's future alone and
+        # the pipe stays in step for the requests after it.
+        import types
+
+        import repro.service.pool as pool_module
+
+        decoded = []
+
+        def flaky_loads(payload):
+            decoded.append(payload)
+            if len(decoded) == 1:
+                raise pickle.UnpicklingError("corrupt result payload")
+            return pickle.loads(payload)
+
+        expression = _workload()
+        instances = [_instance_for(REAL, 6, seed) for seed in range(5)]
+        expected = [evaluate(expression, instance) for instance in instances]
+        with Engine(workers=1, memoize=False) as engine:
+            # Patched after the fork: only the router's decoding is flaky.
+            monkeypatch.setattr(
+                pool_module,
+                "pickle",
+                types.SimpleNamespace(dumps=pickle.dumps, loads=flaky_loads),
+            )
+            failed = engine.submit(expression, instances[0])
+            assert isinstance(failed.exception(30), pickle.UnpicklingError)
+            for instance, want in zip(instances[1:], expected[1:]):
+                got = engine.submit(expression, instance).result(30)
+                assert np.array_equal(got, want)
 
     def test_worker_side_failure_fails_only_its_own_request(self, monkeypatch):
         # A request that fails inside the worker before it executes (here:

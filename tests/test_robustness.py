@@ -18,7 +18,9 @@ Covers the four coupled tentpole pieces and the satellites:
 * **scheduler death** — an unexpected scheduler exception resolves every
   pending and in-flight future with
   :class:`~repro.exceptions.EngineDiedError` instead of hanging;
-* **transport degradation** — injected socket drops mid-frame;
+* **transport degradation** — injected socket drops mid-frame, and an
+  injected worker-side result-shipping failure failing only its own
+  request;
 * **server failure paths** — client disconnects mid-frame, truncated
   length prefixes, handler exceptions inside a burst, connect timeouts;
 * **profiler plumbing** — worker profiler state merging into the parent
@@ -430,6 +432,28 @@ class TestPooledHealing:
         assert snapshot.watchdog_kills >= 1
         assert snapshot.worker_respawns >= 1
         assert "watchdog=" in snapshot.render()
+
+    def test_worker_ship_failure_fails_only_its_own_request(self):
+        # A result the worker fails to ship goes back as that request's
+        # error message; the worker stays up and ships the next one.
+        # Submitted one at a time, so the fault hits every second result.
+        expression = _workload()
+        instances = [_instance(seed=seed) for seed in range(6)]
+        expected = [evaluate(expression, instance) for instance in instances]
+        with injected_faults(seed=5) as injector:
+            injector.arm("worker.ship", "raise", every=2)
+            with Engine(workers=1, memoize=False) as engine:
+                futures = []
+                for instance in instances:
+                    futures.append(engine.submit(expression, instance))
+                    futures[-1].exception(60)
+                snapshot = engine.stats()
+        for index, (future, want) in enumerate(zip(futures, expected)):
+            if index % 2:
+                assert isinstance(future.exception(0), InjectedFault)
+            else:
+                assert np.array_equal(future.result(0), want)
+        assert snapshot.worker_respawns == 0
 
     def test_worker_profiles_merge_on_heartbeat_cadence(self):
         # The parent's profiler must see worker samples while the pool is
