@@ -537,8 +537,8 @@ def compile_expression(
         options = DEFAULT_OPTIONS
     signature = schema.signature()
     # The profile generation joins every key: a profile update (calibration,
-    # profiler feedback) makes every cached plan unreachable, so the next
-    # compilation re-runs the cost-based passes against the fresh weights.
+    # an ExecutionProfiler refit) makes every cached plan unreachable, so the
+    # next compilation re-runs the cost-based passes against the fresh weights.
     generation = profile_generation()
     front_key = (id(expression), options, signature, generation)
     with _PLAN_CACHE_LOCK:

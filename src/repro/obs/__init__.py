@@ -9,8 +9,8 @@ scraper pays nothing):
   exportable as JSONL or Chrome trace-event JSON (Perfetto-loadable).
   Enable with ``Engine(trace=True)`` or ``Engine(trace=Tracer(...))``.
 - :mod:`repro.obs.metrics` — a unified registry pulling `EngineStats`,
-  plan/stack caches, the result memo, per-worker snapshots, tracer and
-  profiler counters into one typed snapshot tree with a Prometheus text
+  plan/stack caches, the result memo, per-worker snapshots and tracer
+  counters into one typed snapshot tree with a Prometheus text
   exposition (served as the ``metrics`` frame on ``QueryServer``).
 - :mod:`repro.obs.dashboard` — a live terminal dashboard over either.
 

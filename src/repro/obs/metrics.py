@@ -2,8 +2,8 @@
 
 The stack grew half a dozen unrelated telemetry surfaces — `EngineStats`
 snapshots, the compiler's plan-cache counters, the executor's stack-cache
-counters, `ResultMemo.info()`, per-worker heartbeat snapshots, tracer
-counters, profiler sample counts.  :class:`MetricsRegistry` pulls them all
+counters, `ResultMemo.info()`, per-worker heartbeat snapshots and tracer
+counters.  :class:`MetricsRegistry` pulls them all
 into one named, typed snapshot tree on demand: nothing is pushed, nothing
 is buffered — every :meth:`MetricsRegistry.metrics` call reads the live
 sources, so the registry adds zero steady-state overhead.
@@ -203,8 +203,8 @@ def engine_registry(engine: Any, tracer: Any = None) -> MetricsRegistry:
 
     Sources: the engine's :class:`EngineStats` snapshot, the module plan
     cache, the executor stack cache, the pooled result memo, per-worker
-    snapshots (labeled ``worker=<i>``), the request tracer's counters, and
-    the profile recorder's sample count.  Sources the engine doesn't have
+    snapshots (labeled ``worker=<i>``) and the request tracer's counters.
+    Sources the engine doesn't have
     (e.g. workers on an in-process engine) contribute nothing rather than
     erroring.
     """
@@ -290,20 +290,10 @@ def engine_registry(engine: Any, tracer: Any = None) -> MetricsRegistry:
                    "Configured trace sampling rate."),
         ]
 
-    def profile_source() -> List[Metric]:
-        profiler = getattr(engine, "_profiler", None)
-        if profiler is None:
-            return []
-        return [
-            Metric("repro_profile_samples", float(profiler.sample_count()), COUNTER,
-                   "Op timings observed by the execution profiler."),
-        ]
-
     registry.register("engine", engine_source)
     registry.register("plan_cache", plan_cache_source)
     registry.register("stack_cache", stack_cache_source)
     registry.register("memo", memo_source)
     registry.register("workers", worker_source)
     registry.register("trace", trace_source)
-    registry.register("profile", profile_source)
     return registry

@@ -179,20 +179,18 @@ class OpSpanCollector:
     """An :class:`~repro.profile.ExecutionProfiler`-shaped span collector.
 
     The plan executors (:func:`repro.matlang.ir.execute_plan` and
-    :func:`execute_plan_batch`) already time every op for the cost-profile
-    feedback loop; this adapter plugs into the same ``profiler=`` hook and
-    turns each observation into a pending kernel span — optionally
-    *forwarding* to a real profiler so tracing and profile feedback can
-    share one timing pass.  Span names are ``r<register> <opcode>``, the
-    register labels :meth:`repro.matlang.ir.Plan.explain` uses.
+    :func:`execute_plan_batch`) time every op for an attached profiler;
+    this adapter plugs into the same ``profiler=`` hook and turns each
+    observation into a pending kernel span.  Span names are
+    ``r<register> <opcode>``, the register labels
+    :meth:`repro.matlang.ir.Plan.explain` uses.
     """
 
-    __slots__ = ("spans", "forward")
+    __slots__ = ("spans",)
 
-    def __init__(self, forward: Any = None) -> None:
+    def __init__(self) -> None:
         #: ``(name, backend_name, start_perf, duration)`` per executed op.
         self.spans: List[Tuple[str, str, float, float]] = []
-        self.forward = forward
 
     def record(self, op: Any, backend_name: str, values: List[Any], seconds: float) -> None:
         """Record one executed op as span ``r<register> <opcode>``.
@@ -202,8 +200,6 @@ class OpSpanCollector:
         op's result and ``len(values) - 1`` its register.  Registers a
         dimension frame supplies are not executed, so get no span.
         """
-        if self.forward is not None:
-            self.forward.record(op, backend_name, values, seconds)
         ended = time.perf_counter()
         self.spans.append(
             (f"r{len(values) - 1} {op.opcode}", backend_name, ended - seconds, seconds)

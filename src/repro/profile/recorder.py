@@ -1,13 +1,16 @@
 """Lightweight execution profiling: observed per-op timings -> cost profile.
 
-:class:`ExecutionProfiler` is the measurement half of the feedback loop.
+:class:`ExecutionProfiler` is the measurement half of an explicit refit.
 The plan executor (:func:`repro.matlang.ir.execute_plan`) calls
-:meth:`record` around each op when a profiler is attached; samples land in
+:meth:`record` around each op when a profiler is attached (for instance
+``Evaluator(instance, profiler=ExecutionProfiler())``); samples land in
 bounded per-``(op class, backend)`` reservoirs (the same recent-window idiom
 as :class:`repro.service.stats.EngineStats`), and :meth:`fit` turns the
 reservoirs into a fresh :class:`~repro.profile.model.CostProfile` —
 per-unit costs from the medians, a derived dense/sparse crossover density,
-and EWMA-tracked symbol sizes from :meth:`observe_instance`.
+and EWMA-tracked symbol sizes from :meth:`observe_instance`.  Installing
+the fit with :func:`repro.profile.set_active_profile` bumps the profile
+generation, so cached plans re-optimize against the measurements.
 
 Only ops with a well-understood work model are sampled (matmul,
 elementwise, construct, conversions); fused iteration ops (``power``,
@@ -152,61 +155,6 @@ class ExecutionProfiler:
     def sample_count(self) -> int:
         with self._lock:
             return self._recorded
-
-    # -- cross-process merging -------------------------------------------
-    def state(self, drain: bool = True) -> Dict[str, Any]:
-        """A portable snapshot of the reservoirs for cross-process merging.
-
-        Worker processes in a pool each profile locally and ship this state
-        to the parent, which folds it in via :meth:`merge_state`.  With
-        ``drain`` (the default for that use) the reservoirs and the sample
-        counter are cleared, so repeated polls never double-report the same
-        samples; symbol sizes are an EWMA, not a stream, and are left
-        intact.  The state is plain dicts/lists/floats — picklable over a
-        pipe without importing this module's internals on the other side.
-        """
-        with self._lock:
-            samples = {key: list(reservoir) for key, reservoir in self._samples.items()}
-            symbol_sizes = dict(self._symbol_sizes)
-            recorded = self._recorded
-            if drain:
-                self._samples.clear()
-                self._recorded = 0
-        return {
-            "samples": samples,
-            "symbol_sizes": symbol_sizes,
-            "recorded": recorded,
-        }
-
-    def merge_state(self, state: Optional[Dict[str, Any]]) -> None:
-        """Fold a :meth:`state` snapshot from another profiler into this one.
-
-        Samples append into the bounded reservoirs (newest win once a key
-        is full, matching local recording); symbol sizes fold in with the
-        same EWMA weight as a fresh observation; the recorded counter
-        accumulates so persistence gating sees the pool-wide sample count.
-        ``None`` or an empty state is a no-op.
-        """
-        if not state:
-            return
-        alpha = self.SYMBOL_ALPHA
-        with self._lock:
-            for key, samples in state.get("samples", {}).items():
-                reservoir = self._samples.get(key)
-                if reservoir is None:
-                    reservoir = self._samples[key] = deque(maxlen=self.RESERVOIR_SIZE)
-                reservoir.extend(
-                    (float(work), float(seconds)) for work, seconds in samples
-                )
-            for symbol, size in state.get("symbol_sizes", {}).items():
-                previous = self._symbol_sizes.get(symbol)
-                if previous is None:
-                    self._symbol_sizes[symbol] = float(size)
-                else:
-                    self._symbol_sizes[symbol] = (
-                        (1.0 - alpha) * previous + alpha * float(size)
-                    )
-            self._recorded += int(state.get("recorded", 0))
 
     # -- fitting ----------------------------------------------------------
     def fit(self, base: Optional[CostProfile] = None) -> CostProfile:

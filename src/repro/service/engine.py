@@ -122,22 +122,6 @@ class Engine:
     options:
         Optional :class:`~repro.matlang.compiler.OptimizationOptions`
         applied to every compilation this engine performs.
-    profile_feedback:
-        When true the engine attaches an
-        :class:`~repro.profile.ExecutionProfiler` to every per-instance
-        execution and, on :meth:`flush_profile` (and automatically at
-        :meth:`shutdown`), fits the observed timings into the process-wide
-        cost profile — bumping the profile generation so cached plans
-        re-optimize against the measurements.  In pooled mode each worker
-        profiles its own executions and the parent merges their reservoirs
-        at flush time.
-    profile_persist_min_samples:
-        Persistence policy for the fitted profile: ``None`` (the default)
-        never writes to disk; an integer makes :meth:`flush_profile` save
-        the refitted profile to the per-install path
-        (:func:`repro.profile.model.default_profile_path`) once at least
-        that many samples back the fit — an under-sampled refit is
-        installed in memory but never persisted.
     workers:
         ``0`` (the default) keeps the single-process scheduler.  ``N >= 1``
         starts a sharded pool of N forked worker processes and turns this
@@ -170,8 +154,6 @@ class Engine:
         functions: Any = None,
         backend: Any = None,
         options: Any = None,
-        profile_feedback: bool = False,
-        profile_persist_min_samples: Optional[int] = None,
         workers: int = 0,
         memoize: Optional[bool] = None,
         memo_capacity: int = 512,
@@ -188,7 +170,6 @@ class Engine:
         self.backend_request = backend
         self.options = options
         self.workers = workers
-        self.profile_persist_min_samples = profile_persist_min_samples
         self._stats = EngineStats()
         if trace is None or trace is False:
             self._tracer: Any = None
@@ -203,12 +184,6 @@ class Engine:
         #: :class:`repro.matlang.ir.StackCache`): a hot instance set served
         #: repeatedly re-stacks nothing.
         self._stack_cache = StackCache()
-        if profile_feedback:
-            from repro.profile import ExecutionProfiler
-
-            self._profiler: Any = ExecutionProfiler()
-        else:
-            self._profiler = None
         self._shutdown = False
         self._shutdown_lock = threading.Lock()
         #: Set when the scheduler thread died of an unexpected exception;
@@ -248,11 +223,7 @@ class Engine:
                 functions=self.functions,
                 backend=backend,
                 options=options,
-                profile_feedback=profile_feedback,
                 stats=self._stats,
-                on_profile_state=(
-                    self._profiler.merge_state if self._profiler is not None else None
-                ),
             )
         else:
             self._pool = None
@@ -284,22 +255,7 @@ class Engine:
         :class:`~repro.exceptions.EngineOverloadedError` instead of
         queueing.  Neither error is ever *raised* from ``submit``.
         """
-        future = QueryFuture(self._result_condition)
-        if self._reject_if_shutdown(future):
-            return future
-        if self._overloaded(future):
-            return future
-        if self._pool is not None:
-            self._submit_pooled(expression, instance, future, deadline)
-            return future
-        request = self._build_request(expression, instance, future, deadline)
-        if request is not None:
-            if not self._admit(request):
-                return future
-            if self._memo_lookup(request):
-                return future
-            self._enqueue([request])
-        return future
+        return self.submit_many(((expression, instance, deadline),))[0]
 
     def submit_many(self, requests: Iterable[Tuple[Any, ...]]) -> List[QueryFuture]:
         """Enqueue a burst of ``(expression, instance[, deadline])`` tuples.
@@ -307,18 +263,9 @@ class Engine:
         The burst is compiled first and enqueued in one queue sweep, which
         both minimises per-request synchronization cost and gives the
         scheduler the best possible shot at coalescing the burst into large
-        stacked batches.  Futures come back in input order.
+        stacked batches.  In pooled mode each request is routed to its
+        shard as soon as it is built.  Futures come back in input order.
         """
-        if self._pool is not None:
-            futures = []
-            for item in requests:
-                expression, instance, deadline = self._unpack_submission(item)
-                future = QueryFuture(self._result_condition)
-                futures.append(future)
-                if self._reject_if_shutdown(future) or self._overloaded(future):
-                    continue
-                self._submit_pooled(expression, instance, future, deadline)
-            return futures
         futures: List[QueryFuture] = []
         built: List[QueryRequest] = []
         for item in requests:
@@ -329,10 +276,14 @@ class Engine:
                 continue
             request = self._build_request(expression, instance, future, deadline)
             if (
-                request is not None
-                and self._admit(request)
-                and not self._memo_lookup(request)
+                request is None
+                or not self._admit(request)
+                or self._memo_lookup(request)
             ):
+                continue
+            if self._pool is not None:
+                self._submit_pooled(request)
+            else:
                 built.append(request)
         self._enqueue(built)
         return futures
@@ -467,59 +418,6 @@ class Engine:
         """Counters of the engine's cross-dispatch input-stacking cache."""
         return self._stack_cache.info()
 
-    def flush_profile(self) -> bool:
-        """Fit the recorded timings into the process-wide cost profile.
-
-        Only meaningful with ``profile_feedback=True``; returns whether a
-        new profile was installed.  Installing bumps the profile
-        generation, so every plan cache (the module cache, the engine's
-        memo, evaluator physical caches) re-optimizes on next use.  In
-        pooled mode the workers' profiler reservoirs are drained into the
-        parent's first, so the fit sees the whole tier's measurements.
-        With ``profile_persist_min_samples`` set and satisfied, the fitted
-        profile is also written to the per-install path.
-        """
-        profiler = self._profiler
-        if profiler is None:
-            return False
-        if self._pool is not None and not self._shutdown:
-            for state in self._pool.profile_states():
-                if state:
-                    profiler.merge_state(state)
-        return self._fit_and_install()
-
-    def _fit_and_install(self) -> bool:
-        from repro.profile import active_profile, set_active_profile
-
-        profiler = self._profiler
-        if profiler is None or profiler.sample_count() == 0:
-            return False
-        fitted = profiler.fit(base=active_profile())
-        if fitted is active_profile():
-            return False
-        set_active_profile(fitted)
-        self._maybe_persist(fitted, profiler.sample_count())
-        return True
-
-    def _maybe_persist(self, fitted: Any, samples: int) -> bool:
-        """Write the fitted profile to the per-install path if trustworthy.
-
-        The persistence policy: a served-traffic refit is only durable once
-        ``profile_persist_min_samples`` measurements back it — an
-        under-sampled fit is installed for this process but never written,
-        so one quiet engine cannot poison every future process's planner.
-        """
-        minimum = self.profile_persist_min_samples
-        if minimum is None or samples < minimum:
-            return False
-        from repro.profile.model import default_profile_path
-
-        try:
-            fitted.save(default_profile_path())
-        except OSError:  # pragma: no cover - unwritable install path
-            return False
-        return True
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -541,14 +439,14 @@ class Engine:
                     # Started under the lock so a concurrent
                     # shutdown(wait=True) always observes the drainer.
                     self._pool_drainer = threading.Thread(
-                        target=self._drain_pool,
+                        target=self._pool.shutdown,
                         name="repro-pool-drain",
                         daemon=True,
                     )
                     self._pool_drainer.start()
         if self._pool is not None:
             if first and wait:
-                self._drain_pool()
+                self._pool.shutdown()
             elif wait:
                 drainer = self._pool_drainer
                 if drainer is not None:
@@ -556,23 +454,6 @@ class Engine:
             return
         if wait:
             self._scheduler.join()
-            if self._profiler is not None:
-                try:
-                    self.flush_profile()
-                except Exception:  # pragma: no cover - feedback is best-effort
-                    pass
-
-    def _drain_pool(self) -> None:
-        """Stop the worker pool and fold its profiler states into ours."""
-        states = self._pool.shutdown()
-        if self._profiler is not None:
-            for state in states:
-                if state:
-                    self._profiler.merge_state(state)
-            try:
-                self._fit_and_install()
-            except Exception:  # pragma: no cover - best-effort
-                pass
 
     def __enter__(self) -> "Engine":
         return self
@@ -778,27 +659,16 @@ class Engine:
     # ------------------------------------------------------------------
     # Pooled routing (workers >= 1)
     # ------------------------------------------------------------------
-    def _submit_pooled(
-        self,
-        expression: Any,
-        instance: Any,
-        future: QueryFuture,
-        deadline: Optional[float] = None,
-    ) -> None:
-        request = self._build_request(expression, instance, future, deadline)
-        if request is None:
-            return  # compile error already delivered through the future
-        if not self._admit(request):
-            return  # shed: typed error already delivered through the future
-        if self._memo_lookup(request):
-            return  # answered from the memo
+    def _submit_pooled(self, request: QueryRequest) -> None:
+        """Route one built, admitted memo miss to its shard worker."""
+        future = request.future
         self._stats.record_submitted(1)
         if request.cost_estimate:
             self._stats.record_cost(request.cost_estimate)
         try:
             task = self._pool.submit(
                 request.plan,
-                instance,
+                request.instance,
                 future,
                 request.memo_key,
                 request.submitted_at,
@@ -980,9 +850,7 @@ class Engine:
         traced = [request for request in requests if request.trace is not None]
         collector = None
         if traced:
-            # The batch executor's profiler hook doubles as the kernel
-            # span source; the collector stays local to this chunk (the
-            # engine's feedback profiler never sees batched values).
+            # The batch executor's profiler hook is the kernel span source.
             from repro.obs.trace import OpSpanCollector
 
             collector = OpSpanCollector()
@@ -1013,19 +881,15 @@ class Engine:
     def _execute_single(self, request: QueryRequest) -> None:
         """Run one request alone, on the plan ``evaluate`` picks for it.
 
-        A pinned backend is honoured instead.  Only these per-instance runs
-        feed the engine's feedback profiler.
+        A pinned backend is honoured instead.
         """
         context = request.trace
-        profiler = self._profiler
         collector = None
         if context is not None:
-            # Wrap (or stand in for) the feedback profiler so tracing and
-            # profile feedback share one timing pass per op.
+            # The executor's profiler hook is the kernel span source.
             from repro.obs.trace import OpSpanCollector
 
-            collector = OpSpanCollector(forward=profiler)
-            profiler = collector
+            collector = OpSpanCollector()
         self._stats.record_dispatch(1, batched=False)
         started = time.perf_counter()
         try:
@@ -1034,7 +898,7 @@ class Engine:
                 request.instance,
                 self.functions,
                 self.backend_request,
-                profiler,
+                collector,
             )
         except Exception as error:
             if context is not None:
@@ -1045,8 +909,6 @@ class Engine:
                 collector.attach(context, batch=1)
             self._finish_error(request, error)
         else:
-            if self._profiler is not None:
-                self._profiler.observe_instance(request.instance)
             if context is not None:
                 context.add_perf(
                     "dispatch", "serving", started, time.perf_counter() - started,

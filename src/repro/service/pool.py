@@ -2,8 +2,7 @@
 
 Each worker is a forked process running its **own** in-process engine —
 the same scheduler + coalescer loop single-process serving uses — over its
-own shard of the plan cache and (with profile feedback on) its own
-:class:`~repro.profile.ExecutionProfiler`.  The parent's pooled engine is
+own shard of the plan cache.  The parent's pooled engine is
 reduced to a router: it compiles, memoizes, hashes the request's
 coalescing identity to a shard (:class:`~repro.service.router.ShardRouter`)
 and sends the request down that worker's control pipe.
@@ -15,14 +14,14 @@ parent -> worker::
     ("plan",     plan_id, payload, schema)         register a compiled plan
     ("semiring", pickled_semiring)                 register a late semiring
     ("submit",   task_id, plan_id, semiring, dims, pickled_matrices, remaining, trace)
-    ("stats",)  ("profile",)  ("stop",)
+    ("stats",)  ("stop",)
 
 worker -> parent::
 
     ("result",    task_id, pickled_result, spans)
     ("error",     task_id, pickled_exception, spans)
-    ("heartbeat", wallclock, profiler_state_or_None)
-    ("stats", snapshot)  ("profile", state)  ("stopped", profiler_state)
+    ("heartbeat",)
+    ("stats", snapshot)  ("stopped",)
 
 Matrices and results are pickled exactly as they are laid out (a
 Fortran-ordered matrix reaches the worker Fortran-ordered, so its kernels
@@ -154,32 +153,12 @@ def _rebuild_instance(schema, dimensions, semiring, matrices):
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-#: Heartbeats between profiler-state piggybacks: frequent enough that a
-#: long-lived pool refits its cost profile mid-run (the parent merges each
-#: shipped state), sparse enough that draining the reservoirs stays noise.
-_PROFILE_EVERY_BEATS = 5
-
-
-def _worker_main(
-    index: int,
-    connection,
-    policy,
-    functions,
-    backend,
-    options,
-    profile_feedback: bool,
-) -> None:
+def _worker_main(index: int, connection, policy, functions, backend, options) -> None:
     from repro.semiring.registry import get_semiring
     from repro.service.engine import Engine
 
     _reinit_module_locks()
-    engine = Engine(
-        policy=policy,
-        functions=functions,
-        backend=backend,
-        options=options,
-        profile_feedback=profile_feedback,
-    )
+    engine = Engine(policy=policy, functions=functions, backend=backend, options=options)
     plans: Dict[int, Any] = {}
     schemas: Dict[int, Any] = {}
     send_lock = threading.Lock()
@@ -216,25 +195,14 @@ def _worker_main(
                 pass  # pipe gone: the parent's EOF handling takes over
 
     def heartbeat_loop() -> None:
-        interval = policy.heartbeat_interval if policy is not None else 0.25
-        beats = 0
-        while not stop_heartbeat.wait(interval):
-            beats += 1
+        while not stop_heartbeat.wait(policy.heartbeat_interval):
             if faults.ACTIVE is not None and faults.ACTIVE.deny(
                 "worker.heartbeat", worker=index
             ):
                 continue  # injected silence: the watchdog should kill us
-            state = None
-            if profile_feedback and beats % _PROFILE_EVERY_BEATS == 0:
-                # ``state()`` drains the reservoirs, so samples shipped on a
-                # heartbeat are never double-counted by a later flush.
-                try:
-                    state = engine._profiler.state()
-                except Exception:
-                    state = None
             try:
                 with send_lock:
-                    connection.send(("heartbeat", time.time(), state))
+                    connection.send(("heartbeat",))
             except Exception:
                 return  # parent went away; the main loop will exit too
 
@@ -289,10 +257,6 @@ def _worker_main(
             lambda finished, tid=task_id, ctx=trace_context: ship(tid, finished, ctx)
         )
 
-    profiler_state: Callable[[], Any] = lambda: (
-        engine._profiler.state() if engine._profiler is not None else None
-    )
-
     while True:
         try:
             message = connection.recv()
@@ -318,14 +282,11 @@ def _worker_main(
         elif kind == "stats":
             with send_lock:
                 connection.send(("stats", engine.stats()))
-        elif kind == "profile":
-            with send_lock:
-                connection.send(("profile", profiler_state()))
         elif kind == "stop":
             stop_heartbeat.set()
             engine.shutdown(wait=True)
             with send_lock:
-                connection.send(("stopped", profiler_state()))
+                connection.send(("stopped",))
             break
     stop_heartbeat.set()
     connection.close()
@@ -562,23 +523,20 @@ class WorkerPool:
 
     ``deliver(task, result, error)`` is the engine's completion hook: the
     pool calls it exactly once per submitted task, from a parent-side
-    receiver thread.
+    receiver thread.  ``policy`` is the engine's
+    :class:`~repro.service.batching.CoalescingPolicy`; its workers serve
+    under it, and the pool reads its retry, heartbeat and quarantine knobs.
     """
-
-    #: Rescue attempts per request after a worker crash.
-    MAX_RESCUES = 1
 
     def __init__(
         self,
         workers: int,
         deliver: Callable[[_Task, Any, Optional[BaseException]], None],
-        policy=None,
+        policy,
         functions=None,
         backend=None,
         options=None,
-        profile_feedback: bool = False,
         stats=None,
-        on_profile_state: Optional[Callable[[Any], None]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -595,9 +553,7 @@ class WorkerPool:
         self._functions = functions
         self._backend = backend
         self._options = options
-        self._profile_feedback = profile_feedback
         self._stats = stats
-        self._on_profile_state = on_profile_state
         self._lock = threading.Lock()
         # Serializes every fork in the pool (worker spawns, sandbox runs)
         # against the instant where a freshly created pipe's child end is
@@ -612,17 +568,8 @@ class WorkerPool:
         #: ``id(plan) -> (pinned plan, wire plan id, payload, schema)``.
         self._plans: Dict[int, Tuple[Any, int, bytes, Any]] = {}
 
-        def knob(name: str, default):
-            return getattr(policy, name, default) if policy is not None else default
-
-        self._dispatch_retries = knob("dispatch_retries", 3)
-        self._retry_backoff = knob("retry_backoff", 0.01)
-        self._heartbeat_timeout = knob("heartbeat_timeout", 5.0)
-        self._hung_task_grace = knob("hung_task_grace", 2.0)
-        self._quarantine_execute = knob("quarantine_execute", True)
         self.breaker = CircuitBreaker(
-            strikes=knob("quarantine_strikes", 3),
-            reset_after=knob("quarantine_reset", 30.0),
+            strikes=policy.quarantine_strikes, reset_after=policy.quarantine_reset
         )
         self._lane = _QuarantineLane(self)
         self._handles: List[_WorkerHandle] = []
@@ -632,7 +579,7 @@ class WorkerPool:
             self._handles.append(handle)
         self._watchdog = Watchdog(
             self._watchdog_scan,
-            interval=knob("heartbeat_interval", 0.25),
+            interval=policy.heartbeat_interval,
             name="repro-pool-watchdog",
         ).start()
 
@@ -656,7 +603,6 @@ class WorkerPool:
                     self._functions,
                     self._backend,
                     self._options,
-                    self._profile_feedback,
                 ),
                 name=f"repro-worker-{handle.index}",
                 daemon=True,
@@ -717,13 +663,7 @@ class WorkerPool:
                 self._complete(handle, task_id, None, error, spans)
             elif kind == "heartbeat":
                 handle.last_heartbeat = time.monotonic()
-                state = message[2]
-                if state and self._on_profile_state is not None:
-                    try:
-                        self._on_profile_state(state)
-                    except Exception:
-                        pass  # profiler merge is best-effort telemetry
-            else:  # stats / profile / stopped control replies
+            else:  # stats / stopped control replies
                 handle.replies.put(message)
                 if kind == "stopped":
                     return
@@ -892,7 +832,7 @@ class WorkerPool:
         """Answer one task on the quarantine path (sandbox or typed error)."""
         if self._stats is not None:
             self._stats.record_quarantined()
-        if self._quarantine_execute:
+        if self._policy.quarantine_execute:
             self._lane.submit(task)
         else:
             self._deliver(
@@ -942,7 +882,8 @@ class WorkerPool:
                 ),
             )
             return
-        delays = backoff_delays(self._dispatch_retries, base=self._retry_backoff)
+        retries = self._policy.dispatch_retries
+        delays = backoff_delays(retries, base=self._policy.retry_backoff)
         while True:
             try:
                 self._dispatch_once(task)
@@ -953,7 +894,7 @@ class WorkerPool:
                     if isinstance(error, WorkerCrashError):
                         raise
                     raise WorkerCrashError(
-                        f"dispatch failed after {self._dispatch_retries} "
+                        f"dispatch failed after {retries} "
                         f"retries: {type(error).__name__}: {error}"
                     ) from error
                 if self._stats is not None:
@@ -1066,18 +1007,6 @@ class WorkerPool:
             snapshots.append(reply[1] if reply else None)
         return snapshots
 
-    def profile_states(self, timeout: float = 5.0) -> List[Any]:
-        """Per-worker profiler states for the parent-side merge."""
-        states = []
-        for handle in self._handles:
-            reply = self._control(handle, ("profile",), timeout)
-            states.append(reply[1] if reply else None)
-        return states
-
-    def inflight_count(self) -> int:
-        with self._lock:
-            return sum(len(handle.inflight) for handle in self._handles)
-
     # ------------------------------------------------------------------
     # Watchdog (self-healing of hung workers)
     # ------------------------------------------------------------------
@@ -1088,6 +1017,7 @@ class WorkerPool:
         and the existing crash machinery (respawn + one rescue per task)
         heals the shard — hung and dead workers share one recovery path.
         """
+        policy = self._policy
         now = time.monotonic()
         clock = time.perf_counter()
         oldest = 0.0
@@ -1110,12 +1040,12 @@ class WorkerPool:
                 age = now - handle.last_heartbeat
                 if age > oldest:
                     oldest = age
-                hung = age > self._heartbeat_timeout
+                hung = age > policy.heartbeat_timeout
                 if not hung:
                     for task in handle.inflight.values():
                         if (
                             task.deadline_at is not None
-                            and clock > task.deadline_at + self._hung_task_grace
+                            and clock > task.deadline_at + policy.hung_task_grace
                         ):
                             # The deadline says nobody wants this result
                             # anymore, yet the worker is still on it.
@@ -1142,20 +1072,19 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
-    def shutdown(self, timeout: float = 30.0) -> List[Any]:
-        """Stop every worker and harvest their final profiler states.
+    def shutdown(self, timeout: float = 30.0) -> None:
+        """Stop every worker.
 
         Pending requests drain first (each worker's inner engine finishes
         its queue before acknowledging the stop), so every submitted future
-        resolves.  Returns the workers' final profiler states.
+        resolves.
         """
         with self._lock:
             if self._closed:
-                return []
+                return
             self._closed = True
         self._watchdog.stop()
         self._lane.stop()
-        states: List[Any] = []
         deadline = time.perf_counter() + timeout
         for handle in self._handles:
             handle.stopping = True
@@ -1166,7 +1095,6 @@ class WorkerPool:
                         handle.connection.send(("stop",))
                     except Exception:
                         alive = False
-            state = None
             if alive:
                 remaining = max(0.5, deadline - time.perf_counter())
                 while True:
@@ -1175,9 +1103,7 @@ class WorkerPool:
                     except queue.Empty:
                         break
                     if reply[0] == "stopped":
-                        state = reply[1]
                         break
-            states.append(state)
             handle.alive = False
             self._teardown_handle(handle)
         # A worker that never acknowledged leaves its in-flight futures
@@ -1191,7 +1117,6 @@ class WorkerPool:
             self._deliver(
                 task, None, RuntimeError("the worker pool shut down mid-request")
             )
-        return states
 
     def __del__(self) -> None:  # pragma: no cover - safety net
         try:

@@ -42,7 +42,6 @@ from repro.profile import (
     CostProfile,
     ExecutionProfiler,
     active_profile,
-    profile_generation,
     set_active_profile,
 )
 from repro.profile.calibration import main as calibrate_main
@@ -520,24 +519,9 @@ class TestProfileFeedback:
         values = [np.ones((4, 3, 5)), np.ones((4, 5, 7)), np.ones((4, 3, 7))]
         profiler.record(PlanOp("matmul", (0, 1)), "batched", values, 1e-3)
         profiler.record(PlanOp("matmul", (0, 1)), "dense", [v[0] for v in values], 1e-3)
-        samples = profiler.state()["samples"]
-        assert samples["batched.matmul"] == [(4 * 3 * 5 * 7, 1e-3)]
-        assert samples["dense.matmul"] == [(3 * 5 * 7, 1e-3)]
-
-    def test_engine_profile_feedback_bumps_the_generation(self):
-        instance = _mixed_instance(REAL, 24)
-        generation = profile_generation()
-        with Engine(
-            profile_feedback=True, backend=backend_for(REAL, "dense")
-        ) as engine:
-            futures = engine.submit_many(
-                (MIXED_EXPRESSION, instance) for _ in range(12)
-            )
-            for future in futures:
-                future.result(30)
-            assert engine._profiler.sample_count() > 0
-        assert profile_generation() > generation
-        assert active_profile().source == "fitted"
+        samples = profiler._samples  # the reservoirs: (work units, seconds)
+        assert list(samples["batched.matmul"]) == [(4 * 3 * 5 * 7, 1e-3)]
+        assert list(samples["dense.matmul"]) == [(3 * 5 * 7, 1e-3)]
 
 
 # ----------------------------------------------------------------------

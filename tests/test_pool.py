@@ -21,9 +21,7 @@ Covers the whole pooled stack and its satellites:
   resolving every future;
 * **front ends** — the asyncio bridge (``asubmit`` / ``asubmit_many``)
   and the length-prefixed socket protocol (queries, bursts, stats, error
-  propagation, magic rejection);
-* **profile plumbing** — worker profiler state draining/merging and the
-  persistence policy (an under-sampled refit never reaches disk).
+  propagation, magic rejection).
 """
 
 import asyncio
@@ -46,11 +44,7 @@ from repro.matlang.ir import (
 )
 from repro.exceptions import EvaluationError, SemiringError
 from repro.obs.trace import Tracer
-from repro.profile import (
-    DEFAULT_PROFILE,
-    ExecutionProfiler,
-    set_active_profile,
-)
+from repro.profile import DEFAULT_PROFILE, set_active_profile
 from repro.semiring import BOOLEAN, INTEGER, MAX_PLUS, MIN_PLUS, NATURAL, REAL
 from repro.semiring.base import Semiring
 from repro.semiring.provenance import PROVENANCE, Polynomial
@@ -93,7 +87,7 @@ class _LateMaxMin(Semiring):
 
 @pytest.fixture(autouse=True)
 def _restore_profile():
-    """Profile-feedback tests install profiles; restore the default after."""
+    """Tests that install a profile restore the default after."""
     yield
     set_active_profile(DEFAULT_PROFILE)
 
@@ -821,93 +815,3 @@ class TestQueryServer:
             with QueryClient(host, port) as client:
                 result = client.query(expression, instance)
         assert np.array_equal(result, evaluate(expression, instance))
-
-
-# ----------------------------------------------------------------------
-# Profiler state plumbing and the persistence policy
-# ----------------------------------------------------------------------
-class TestProfilePlumbing:
-    def _record_samples(self, profiler, count=4):
-        instance = _instance_for(REAL, 8, 0)
-        plan = compile_expression(_workload(), instance.schema)
-
-        class _Value:
-            shape = (8, 8)
-
-        class _Op:
-            opcode = "matmul"
-            inputs = (0, 1)
-
-        values = [_Value(), _Value(), _Value()]
-        for _ in range(count):
-            profiler.record(_Op(), "dense", values, 1e-4)
-        profiler.observe_instance(instance)
-        return plan
-
-    def test_state_drains_and_merges(self):
-        source = ExecutionProfiler()
-        self._record_samples(source, count=5)
-        assert source.sample_count() == 5
-        state = source.state()
-        assert source.sample_count() == 0  # drained
-        target = ExecutionProfiler()
-        target.merge_state(state)
-        assert target.sample_count() == 5
-        target.merge_state(None)  # no-op
-        assert target.sample_count() == 5
-
-    def test_state_without_drain_keeps_samples(self):
-        source = ExecutionProfiler()
-        self._record_samples(source, count=3)
-        source.state(drain=False)
-        assert source.sample_count() == 3
-
-    def test_pooled_flush_merges_worker_measurements(self):
-        # Sparse boolean instances execute per-instance inside the worker
-        # with the profiler attached; flushing must pull those samples into
-        # the parent's profiler.
-        adjacency = np.zeros((128, 128), dtype=bool)
-        for i in range(128):
-            adjacency[i, (i + 1) % 128] = True
-        expression = _workload()
-        with Engine(workers=1, profile_feedback=True, memoize=False) as engine:
-            for _ in range(3):
-                instance = Instance.from_matrices(
-                    {"A": adjacency.copy()}, semiring=BOOLEAN
-                )
-                engine.submit(expression, instance).result(60)
-            engine.flush_profile()
-            assert engine._profiler.sample_count() > 0
-
-    def test_undersampled_refit_never_persists(self, tmp_path, monkeypatch):
-        target = tmp_path / "profile.json"
-        monkeypatch.setenv("REPRO_PROFILE_PATH", str(target))
-        profile_instance = _instance_for(REAL, 6, 0)
-        with Engine(
-            profile_feedback=True, profile_persist_min_samples=10**9
-        ) as engine:
-            engine.submit(_workload(), profile_instance).result(30)
-        assert not target.exists()
-
-    def test_sampled_refit_persists_when_threshold_met(self, tmp_path, monkeypatch):
-        target = tmp_path / "profile.json"
-        monkeypatch.setenv("REPRO_PROFILE_PATH", str(target))
-        adjacency = np.zeros((128, 128), dtype=bool)
-        for i in range(128):
-            adjacency[i, (i + 1) % 128] = True
-        expression = _workload()
-        with Engine(profile_feedback=True, profile_persist_min_samples=1) as engine:
-            instance = Instance.from_matrices({"A": adjacency}, semiring=BOOLEAN)
-            engine.submit(expression, instance).result(60)
-        assert target.exists()
-
-    def test_persistence_defaults_off(self, tmp_path, monkeypatch):
-        target = tmp_path / "profile.json"
-        monkeypatch.setenv("REPRO_PROFILE_PATH", str(target))
-        adjacency = np.zeros((128, 128), dtype=bool)
-        for i in range(128):
-            adjacency[i, (i + 1) % 128] = True
-        with Engine(profile_feedback=True) as engine:
-            instance = Instance.from_matrices({"A": adjacency}, semiring=BOOLEAN)
-            engine.submit(_workload(), instance).result(60)
-        assert not target.exists()

@@ -22,9 +22,7 @@ Covers the four coupled tentpole pieces and the satellites:
   injected worker-side result-shipping failure failing only its own
   request;
 * **server failure paths** — client disconnects mid-frame, truncated
-  length prefixes, handler exceptions inside a burst, connect timeouts;
-* **profiler plumbing** — worker profiler state merging into the parent
-  on the heartbeat cadence, without waiting for shutdown.
+  length prefixes, handler exceptions inside a burst, connect timeouts.
 """
 
 import socket
@@ -455,23 +453,46 @@ class TestPooledHealing:
                 assert np.array_equal(future.result(0), want)
         assert snapshot.worker_respawns == 0
 
-    def test_worker_profiles_merge_on_heartbeat_cadence(self):
-        # The parent's profiler must see worker samples while the pool is
-        # still serving — shipped piggybacked on heartbeats — not only at
-        # shutdown flush (the PR 7 behaviour).
+    def test_silent_worker_is_killed_and_respawned(self):
+        # A worker whose heartbeats stop (it still serves) looks hung to the
+        # router: the watchdog must kill it once its last heartbeat is older
+        # than heartbeat_timeout, and the shard must respawn and serve
+        # bitwise-equal results.  Worker 0 inherits the armed injector at
+        # fork; disarming stops later respawns from inheriting it.
         expression = _workload()
-        policy = CoalescingPolicy(heartbeat_interval=0.02, heartbeat_timeout=5.0)
-        with Engine(
-            workers=1, policy=policy, memoize=False, profile_feedback=True
-        ) as engine:
-            for seed in range(6):
-                engine.submit(expression, _instance(seed=seed)).result(30)
-            deadline = time.perf_counter() + 5.0
-            while time.perf_counter() < deadline:
-                if engine._profiler.sample_count() > 0:
-                    break
-                time.sleep(0.05)
-            assert engine._profiler.sample_count() > 0
+        instances = [_instance(size=size, seed=size) for size in (4, 6, 8, 10)]
+        expected = [evaluate(expression, instance) for instance in instances]
+        policy = CoalescingPolicy(heartbeat_interval=0.05, heartbeat_timeout=0.3)
+        with injected_faults(seed=5) as injector:
+            injector.arm("worker.heartbeat", "deny", match={"worker": 0})
+            with Engine(workers=2, policy=policy, memoize=False) as engine:
+                handles = engine._pool._handles
+                silent_pid, healthy_pid = (h.process.pid for h in handles)
+                deadline = time.perf_counter() + 30.0
+                while engine.stats().watchdog_kills < 1:
+                    assert time.perf_counter() < deadline, "no watchdog kill"
+                    time.sleep(0.01)
+                faults.disarm()
+                futures = engine.submit_many(
+                    (expression, instance) for instance in instances
+                )
+                results = [future.result(30) for future in futures]
+                # A respawn that raced the disarm is silent too and gets
+                # killed in turn; wait for the healed pool's fresh beats.
+                deadline = time.perf_counter() + 30.0
+                while True:
+                    snapshot = engine.stats()
+                    age = snapshot.heartbeat_age
+                    if age is not None and age < policy.heartbeat_timeout:
+                        break
+                    assert time.perf_counter() < deadline, "heartbeats stale"
+                    time.sleep(0.02)
+                assert handles[0].process.pid != silent_pid
+                assert handles[1].process.pid == healthy_pid
+        for result, want in zip(results, expected):
+            assert np.array_equal(result, want)
+        assert snapshot.worker_respawns >= 1
+        assert snapshot.watchdog_kills >= 1
 
 
 # ----------------------------------------------------------------------
@@ -490,7 +511,6 @@ class TestServerFailurePaths:
                 assert np.array_equal(value, evaluate(_workload(), instance))
 
     def test_client_disconnect_mid_frame_does_not_kill_server(self):
-        instance = _instance()
         with Engine(memoize=False) as engine, QueryServer(engine) as server:
             host, port = server.address
             # A raw peer announces a large frame, sends half of it, and
