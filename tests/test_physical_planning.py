@@ -14,8 +14,9 @@ Covers the PR-6 pipeline end to end:
   a tagged, conversion-carrying plan;
 * **profile feedback** — profile updates bump the generation, which
   invalidates the compiler's plan cache and every physical-plan cache, a
-  calibrated profile can flip planning decisions, and the execution
-  profiler fits observed timings back into a profile;
+  calibrated profile can flip planning decisions, the execution
+  profiler fits observed timings back into a profile, and installing that
+  refit invalidates a serving engine's memo and plans;
 * **calibration CLI** — ``python -m repro.calibrate`` runs the sweep,
   writes the JSON profile, and the written profile auto-loads;
 * **ragged serving** — ``CoalescingPolicy(ragged=True)`` merges near-miss
@@ -42,6 +43,7 @@ from repro.profile import (
     CostProfile,
     ExecutionProfiler,
     active_profile,
+    profile_generation,
     set_active_profile,
 )
 from repro.profile.calibration import main as calibrate_main
@@ -510,6 +512,33 @@ class TestProfileFeedback:
         assert fitted.source == "fitted"
         assert fitted.unit_costs["dense.matmul"] > 0.0
         assert fitted.symbol_sizes  # observe_instance fed the EWMA
+
+    def test_explicit_refit_reaches_a_serving_engine(self):
+        # The refit recipe the Engine documents in place of serving
+        # feedback: profile an Evaluator, fit over the active profile,
+        # install it.  A running engine must stop answering from results
+        # and plans made under the old profile.
+        instance = _mixed_instance(REAL, 24)
+        schema = instance.schema
+        with Engine(memoize=True, backend=backend_for(REAL, "dense")) as engine:
+            served = engine.submit(MIXED_EXPRESSION, instance).result(30)
+            engine.submit(MIXED_EXPRESSION, instance).result(30)
+            assert engine.stats().memo_hits == 1
+            plan = compile_expression(MIXED_EXPRESSION, schema)
+            profiler = ExecutionProfiler()
+            evaluator = Evaluator(instance, profiler=profiler)
+            for _ in range(ExecutionProfiler.MIN_SAMPLES + 2):
+                evaluator.run(MIXED_EXPRESSION)
+            generation = profile_generation()
+            set_active_profile(profiler.fit(base=active_profile()))
+            assert profile_generation() == generation + 1
+            assert active_profile().source == "fitted"
+            assert compile_expression(MIXED_EXPRESSION, schema) is not plan
+            refit = engine.submit(MIXED_EXPRESSION, instance).result(30)
+            snapshot = engine.stats()
+        assert snapshot.memo_hits == 1  # the memoized result was not reused
+        assert snapshot.memo_misses == 2
+        assert np.array_equal(refit, served)
 
     def test_execution_profiler_counts_batched_matmul_work(self):
         # A (B, r, k) @ (B, k, c) stack multiplies B r x k by k x c matrices.

@@ -16,15 +16,22 @@ Covers the whole pooled stack and its satellites:
   single-process);
 * **pooled correctness** — results bitwise-equal to sequential
   ``evaluate`` on every registered semiring;
+* **worker protocol** — one worker driven over a raw control pipe: bare
+  ``("heartbeat",)`` and ``("stopped",)`` tags, the heartbeat interval
+  read from the policy, no reply to a ``("profile",)`` request, a submit
+  answered with its pickled result, and a task expired in transit failed
+  without executing;
 * **worker lifecycle** — crash rescue (a killed worker's shard respawns
-  and only its in-flight futures are touched) and shutdown-vs-submit races
-  resolving every future;
+  and only its in-flight futures are touched), shutdown-vs-submit races
+  resolving every future, and a pool built without a policy refused;
 * **front ends** — the asyncio bridge (``asubmit`` / ``asubmit_many``)
   and the length-prefixed socket protocol (queries, bursts, stats, error
   propagation, magic rejection).
 """
 
 import asyncio
+import contextlib
+import multiprocessing
 import pickle
 import socket
 import threading
@@ -42,13 +49,14 @@ from repro.matlang.ir import (
     deserialize_plan,
     serialize_plan,
 )
-from repro.exceptions import EvaluationError, SemiringError
+from repro.exceptions import DeadlineExceededError, EvaluationError, SemiringError
 from repro.obs.trace import Tracer
 from repro.profile import DEFAULT_PROFILE, set_active_profile
 from repro.semiring import BOOLEAN, INTEGER, MAX_PLUS, MIN_PLUS, NATURAL, REAL
 from repro.semiring.base import Semiring
 from repro.semiring.provenance import PROVENANCE, Polynomial
 from repro.service import (
+    CoalescingPolicy,
     Engine,
     QueryClient,
     QueryServer,
@@ -57,6 +65,7 @@ from repro.service import (
     ShardRouter,
     WorkerCrashError,
 )
+from repro.service.pool import WorkerPool, _worker_main
 
 ALL_SEMIRINGS = [REAL, NATURAL, INTEGER, BOOLEAN, MIN_PLUS, MAX_PLUS, PROVENANCE]
 
@@ -143,6 +152,42 @@ def _fortran_instances(sizes=(16, 48), seeds=range(3)):
             assert instance.matrices["A"].flags.f_contiguous
             instances.append(instance)
     return instances
+
+
+@contextlib.contextmanager
+def _bare_worker(**knobs):
+    """One worker process on a raw control pipe, forked as the pool forks it.
+
+    Yields ``(connection, process)``; the test speaks the wire protocol
+    itself.  The worker is killed on exit if it is still running.
+    """
+    context = multiprocessing.get_context("fork")
+    connection, child = context.Pipe(duplex=True)
+    process = context.Process(
+        target=_worker_main,
+        args=(0, child, CoalescingPolicy(**knobs), None, None, None),
+        daemon=True,
+    )
+    process.start()
+    child.close()
+    try:
+        yield connection, process
+    finally:
+        if process.is_alive():
+            process.kill()
+        process.join(10)
+        connection.close()
+
+
+def _reply(connection, timeout=30.0):
+    """The worker's next message that is not a heartbeat."""
+    deadline = time.perf_counter() + timeout
+    while True:
+        remaining = deadline - time.perf_counter()
+        assert remaining > 0 and connection.poll(remaining), "the worker never replied"
+        message = connection.recv()
+        if message != ("heartbeat",):
+            return message
 
 
 #: Expressions whose REAL kernels sum in an order that depends on the
@@ -536,6 +581,82 @@ class TestPooledResults:
 
 
 # ----------------------------------------------------------------------
+# Worker protocol (one worker, raw control pipe)
+# ----------------------------------------------------------------------
+class TestWorkerProtocol:
+    def test_heartbeat_is_a_bare_tag(self):
+        with _bare_worker(heartbeat_interval=0.02) as (connection, _):
+            assert connection.poll(30), "no heartbeat"
+            assert connection.recv() == ("heartbeat",)
+
+    def test_heartbeat_interval_comes_from_the_policy(self):
+        knobs = dict(heartbeat_interval=60.0, heartbeat_timeout=120.0)
+        with _bare_worker(**knobs) as (connection, _):
+            connection.send(("stats",))
+            assert _reply(connection)[0] == "stats"  # the worker is serving
+            assert not connection.poll(0.5)  # and stays silent until 60 s
+
+    def test_stop_is_answered_by_a_bare_stopped_tag(self):
+        with _bare_worker(heartbeat_interval=0.02) as (connection, process):
+            connection.send(("stop",))
+            messages = []
+            while True:
+                assert connection.poll(30), "the worker never closed its pipe"
+                try:
+                    messages.append(connection.recv())
+                except EOFError:
+                    break
+            process.join(30)
+        assert [m for m in messages if m != ("heartbeat",)] == [("stopped",)]
+        assert process.exitcode == 0
+
+    def test_a_profile_request_gets_no_reply(self):
+        # Profiler state no longer crosses the pipe: the worker ignores a
+        # ``("profile",)`` request and answers the next message.
+        with _bare_worker() as (connection, _):
+            connection.send(("profile",))
+            connection.send(("stats",))
+            tag, snapshot = _reply(connection)
+        assert tag == "stats"
+        assert snapshot.submitted == 0
+
+    def test_submit_is_answered_with_its_pickled_result(self):
+        instance = _instance_for(REAL, 6, 0)
+        plan = compile_expression(_workload(), instance.schema)
+        with _bare_worker() as (connection, _):
+            connection.send(("plan", 3, serialize_plan(plan), instance.schema))
+            connection.send(
+                (
+                    "submit", 9, 3, instance.semiring.name,
+                    dict(instance.dimensions), pickle.dumps(instance.matrices),
+                    None, None,
+                )
+            )
+            tag, task_id, payload, spans = _reply(connection)
+        assert (tag, task_id, spans) == ("result", 9, None)
+        assert np.array_equal(pickle.loads(payload), evaluate(_workload(), instance))
+
+    def test_a_task_expired_in_transit_fails_without_executing(self):
+        instance = _instance_for(REAL, 6, 0)
+        plan = compile_expression(_workload(), instance.schema)
+        with _bare_worker() as (connection, _):
+            connection.send(("plan", 3, serialize_plan(plan), instance.schema))
+            connection.send(
+                (
+                    "submit", 9, 3, instance.semiring.name,
+                    dict(instance.dimensions), pickle.dumps(instance.matrices),
+                    0.0, None,
+                )
+            )
+            tag, task_id, payload, _spans = _reply(connection)
+            connection.send(("stats",))
+            _, snapshot = _reply(connection)
+        assert (tag, task_id) == ("error", 9)
+        assert isinstance(pickle.loads(payload), DeadlineExceededError)
+        assert snapshot.submitted == 0  # never reached the worker's engine
+
+
+# ----------------------------------------------------------------------
 # Engine-level memoization
 # ----------------------------------------------------------------------
 class TestEngineMemo:
@@ -691,6 +812,12 @@ class TestWorkerLifecycle:
         engine = Engine(workers=1)
         engine.shutdown()
         engine.shutdown()
+
+    def test_the_pool_requires_a_policy(self):
+        # The Engine always passes its policy; the pool keeps no defaults
+        # of its own to drift from CoalescingPolicy's.
+        with pytest.raises(TypeError, match="policy"):
+            WorkerPool(1, deliver=lambda task, result, error: None)
 
     def test_pooled_shutdown_honors_wait_false(self):
         # shutdown(wait=False) must return without blocking on the pool

@@ -10,10 +10,11 @@ Covers the four coupled tentpole pieces and the satellites:
   :class:`~repro.exceptions.DeadlineExceededError` resolution (never a
   raise out of ``submit``);
 * **admission control** — queue-depth and backlog-cost shedding with
-  :class:`~repro.exceptions.EngineOverloadedError`;
+  :class:`~repro.exceptions.EngineOverloadedError`, in process and on the
+  pooled router (expired and overloaded requests never reach a worker);
 * **self-healing** — the circuit-breaker state machine, crash rescue
   under injected worker crashes, the watchdog killing *hung* (not dead)
-  workers, and plan quarantine running poison plans on the sandboxed
+  and *silent* workers, and plan quarantine running poison plans on the sandboxed
   single-instance path with correct results;
 * **scheduler death** — an unexpected scheduler exception resolves every
   pending and in-flight future with
@@ -262,6 +263,54 @@ class TestDeadlines:
                     first.result(30), evaluate(_workload(), _instance())
                 )
                 assert engine.stats().shed_overload == 1
+
+    # The pooled router admits through the same intake as the in-process
+    # engine: shed requests resolve synchronously and never reach a worker.
+    def test_pooled_expired_at_submit_sheds_without_routing(self):
+        with Engine(workers=1, memoize=False) as engine:
+            future = engine.submit(_workload(), _instance(), deadline=1e-9)
+            assert future.done()
+            with pytest.raises(DeadlineExceededError, match="at submission"):
+                future.result(1)
+            snapshot = engine.stats()
+            (worker,) = engine.worker_stats()
+        assert snapshot.shed_expired == 1
+        assert snapshot.failed == 1
+        assert worker.submitted == 0
+
+    def test_pooled_queue_depth_overload_sheds_typed(self):
+        policy = CoalescingPolicy(max_queue_depth=1)
+        with injected_faults(seed=0) as injector:
+            # The worker (which inherits the injector at fork) holds the
+            # first task, so it stays in flight while the burst arrives.
+            injector.arm("worker.task", "sleep", seconds=0.5)
+            with Engine(workers=1, policy=policy, memoize=False) as engine:
+                first = engine.submit(_workload(), _instance())
+                shed = [engine.submit(_workload(), _instance()) for _ in range(3)]
+                for future in shed:
+                    assert future.done()
+                    with pytest.raises(EngineOverloadedError):
+                        future.result(1)
+                assert np.array_equal(
+                    first.result(30), evaluate(_workload(), _instance())
+                )
+                assert engine.stats().shed_overload == 3
+
+    def test_pooled_pending_cost_overload_sheds_typed(self):
+        policy = CoalescingPolicy(max_pending_cost=1.0)
+        with injected_faults(seed=0) as injector:
+            injector.arm("worker.task", "sleep", seconds=0.5)
+            with Engine(workers=1, policy=policy, memoize=False) as engine:
+                first = engine.submit(_workload(), _instance())
+                second = engine.submit(_workload(), _instance())
+                with pytest.raises(EngineOverloadedError, match="backlog cost"):
+                    second.result(1)
+                assert np.array_equal(
+                    first.result(30), evaluate(_workload(), _instance())
+                )
+                snapshot = engine.stats()
+        assert snapshot.shed_overload == 1
+        assert snapshot.completed == 1
 
     def test_shed_errors_resolve_futures_not_submit(self):
         # The contract: submit() never raises for shed requests — callers
