@@ -89,10 +89,10 @@ class PlanQuarantinedError(ServiceError):
     """The request's plan is quarantined by the crash circuit breaker.
 
     A plan whose tasks repeatedly coincide with worker deaths is isolated
-    after ``quarantine_strikes`` strikes; requests for it either run on the
-    router's sandboxed single-instance path or — when that path is disabled
-    or itself fails — resolve with this error until the breaker's reset
-    window elapses and a probe succeeds.
+    after ``quarantine_strikes`` strikes; its requests run on the router's
+    sandboxed single-instance path, and one whose sandbox dies too resolves
+    with this error, until the breaker's reset window elapses and a probe
+    succeeds.
     """
 
 

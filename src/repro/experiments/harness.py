@@ -258,26 +258,19 @@ class ServedWorkload:
     the experiments can use it to replay any recorded request mix.
 
     Parameters mirror the engine's: a
-    :class:`~repro.service.batching.CoalescingPolicy`, an optional
-    pointwise-function registry and an optional pinned backend; any extra
-    keyword (``workers=4``, ``memoize=True``, ...) passes straight through,
-    so the same replay harness drives the single-process scheduler and the
-    multi-process pool.  The workload owns its engine; use it as a context
-    manager (or call :meth:`close`) to shut the scheduler down
-    deterministically.
+    :class:`~repro.service.batching.CoalescingPolicy` and an optional
+    pointwise-function registry; any extra keyword (``workers=4``,
+    ``memoize=True``, ...) passes straight through, so the same replay
+    harness drives the single-process scheduler and the multi-process pool.
+    The workload owns its engine; use it as a context manager (or call
+    :meth:`close`) to shut the scheduler down deterministically.
     """
 
-    def __init__(self, policy=None, functions=None, backend=None, options=None, **engine_kwargs):
+    def __init__(self, policy=None, functions=None, **engine_kwargs):
         # Imported lazily, like the other harness hooks.
         from repro.service import Engine
 
-        self.engine = Engine(
-            policy=policy,
-            functions=functions,
-            backend=backend,
-            options=options,
-            **engine_kwargs,
-        )
+        self.engine = Engine(policy=policy, functions=functions, **engine_kwargs)
 
     def replay(self, requests, timeout=None):
         """Submit every ``(expression, instance)`` pair; gather in order.

@@ -166,6 +166,11 @@ class ExecutionProfiler:
         system and the planner's cross-backend comparisons stay meaningful.
         The dense/sparse matmul crossover density is re-derived from the
         fitted units (``sparse_cost(d) = dense_cost`` at ``d* = sqrt(ratio)``).
+        The per-op overhead is taken the way
+        :func:`~repro.profile.calibration.run_calibration` measures it: the
+        median seconds of the one-unit constructs (a 1x1 value costs little
+        beyond its dispatch), in the fitted units; without any it stays
+        ``base.op_overhead``.
         """
         if base is None:
             base = CostProfile()
@@ -178,14 +183,12 @@ class ExecutionProfiler:
         fitted: Dict[str, float] = {}
         overheads: List[float] = []
         for key, samples in snapshots.items():
+            if key.endswith(".construct"):
+                overheads.extend(seconds for work, seconds in samples if work <= 1.0)
             if len(samples) < self.MIN_SAMPLES:
                 continue
             ratios = sorted(seconds / work for work, seconds in samples)
-            unit = ratios[len(ratios) // 2]
-            fitted[key] = max(unit, 1e-12)
-            overheads.extend(
-                max(0.0, seconds - work * unit) for work, seconds in samples
-            )
+            fitted[key] = max(ratios[len(ratios) // 2], 1e-12)
 
         if not fitted:
             merged_symbols = dict(base.symbol_sizes)

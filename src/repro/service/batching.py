@@ -174,16 +174,6 @@ class CoalescingPolicy:
     ``max_pending``
         Intake queue bound; ``submit`` blocks once this many requests are
         waiting (backpressure instead of unbounded buffering).
-    ``ragged``
-        Opt-in ragged coalescing, the chunker's ``ragged``: requests that
-        share a plan and semiring but differ in dimensions additionally
-        merge into one zero-padded batch when the plan tolerates padding
-        and the padding inflation stays within
-        :data:`repro.matlang.evaluator.RAGGED_PAD_LIMIT`, as in
-        ``run_batch(..., ragged=True)``.  Padded results equal sequential
-        ``evaluate``: bitwise on exact semirings, within floating-point
-        tolerance on float64.  Off by default: padding trades kernel work
-        for dispatch, which only pays for near-miss size mixes.
 
     Robustness knobs (the PR 8 subsystem):
 
@@ -208,11 +198,6 @@ class CoalescingPolicy:
         waiting").  A queue of a few giant requests can be far more
         overloaded than a thousand tiny ones; this knob sheds on work, not
         count.  ``None`` disables cost shedding.
-    ``dispatch_retries`` / ``retry_backoff``
-        Pooled dispatch resilience: transient send failures (a worker dying
-        mid-route) retry up to ``dispatch_retries`` times with bounded
-        exponential backoff starting at ``retry_backoff`` seconds before
-        the request fails with :class:`~repro.exceptions.WorkerCrashError`.
     ``heartbeat_interval`` / ``heartbeat_timeout``
         Workers send a heartbeat over their control pipe every
         ``heartbeat_interval`` seconds; the router watchdog force-kills and
@@ -225,32 +210,28 @@ class CoalescingPolicy:
         anymore, yet the worker is still stuck on it); the watchdog kills
         and respawns the worker and the task resolves through the rescue
         path.
-    ``quarantine_strikes`` / ``quarantine_reset`` / ``quarantine_execute``
+    ``quarantine_strikes`` / ``quarantine_reset``
         The plan circuit breaker (:class:`repro.service.health.CircuitBreaker`):
         a plan whose tasks coincide with ``quarantine_strikes`` worker
         deaths inside the strike window is quarantined; while open, its
-        requests run on the router's sandboxed single-instance path
-        (``quarantine_execute=True``) or resolve with
-        :class:`~repro.exceptions.PlanQuarantinedError`; after
-        ``quarantine_reset`` seconds one probe request is let back into the
-        pool.
+        requests run on the router's sandboxed single-instance path, which
+        resolves a request with
+        :class:`~repro.exceptions.PlanQuarantinedError` if its sandbox
+        dies too; after ``quarantine_reset`` seconds one probe request is
+        let back into the pool.
     """
 
     max_delay: float = 0.002
     max_batch: int = 256
     max_pending: int = 8192
-    ragged: bool = False
     default_deadline: Optional[float] = None
     max_queue_depth: Optional[int] = None
     max_pending_cost: Optional[float] = None
-    dispatch_retries: int = 3
-    retry_backoff: float = 0.01
     heartbeat_interval: float = 0.25
     heartbeat_timeout: float = 5.0
     hung_task_grace: float = 2.0
     quarantine_strikes: int = 3
     quarantine_reset: float = 30.0
-    quarantine_execute: bool = True
 
     def __post_init__(self) -> None:
         if self.max_delay < 0:
@@ -270,14 +251,6 @@ class CoalescingPolicy:
         if self.max_pending_cost is not None and self.max_pending_cost <= 0:
             raise ValueError(
                 f"max_pending_cost must be > 0, got {self.max_pending_cost!r}"
-            )
-        if self.dispatch_retries < 0:
-            raise ValueError(
-                f"dispatch_retries must be >= 0, got {self.dispatch_retries!r}"
-            )
-        if self.retry_backoff < 0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff!r}"
             )
         if self.heartbeat_interval <= 0:
             raise ValueError(
@@ -326,7 +299,6 @@ class QueryRequest:
         "instance",
         "future",
         "submitted_at",
-        "sequence",
         "memo_key",
         "deadline_at",
         "cost_estimate",
@@ -346,8 +318,6 @@ class QueryRequest:
         self.future = future
         #: ``time.perf_counter()`` at submission, for latency telemetry.
         self.submitted_at = submitted_at
-        #: Sequence number preserving submission order inside a group.
-        self.sequence = 0
         #: Result-memo key when the request missed a memoizable lookup at
         #: intake; the finish paths retain the result under it.
         self.memo_key = None
@@ -417,7 +387,6 @@ class RequestQueue:
         self._not_full = threading.Condition(self._lock)
         self._items: List[QueryRequest] = []
         self._closed = False
-        self._sequence = 0
 
     def put(self, request: QueryRequest) -> None:
         with self._not_full:
@@ -425,8 +394,6 @@ class RequestQueue:
                 self._not_full.wait()
             if self._closed:
                 raise RuntimeError("the request queue is closed")
-            request.sequence = self._sequence
-            self._sequence += 1
             self._items.append(request)
             self._not_empty.notify()
 
@@ -450,21 +417,18 @@ class RequestQueue:
                     self._not_full.wait()
                     continue
                 accepted = requests[index : index + space]
-                for request in accepted:
-                    request.sequence = self._sequence
-                    self._sequence += 1
                 self._items.extend(accepted)
                 index += len(accepted)
                 self._not_empty.notify()
         return index
 
-    def drain(self, max_batch: Optional[int] = None) -> List[QueryRequest]:
-        """Blockingly take up to ``max_batch`` requests (all pending by default).
+    def drain(self) -> List[QueryRequest]:
+        """Blockingly take up to the policy's ``max_batch`` pending requests.
 
         Returns an empty list only when the queue is closed and empty —
         the scheduler's termination signal.
         """
-        limit = max_batch if max_batch is not None else self.policy.max_batch
+        limit = self.policy.max_batch
         deadline: Optional[float] = None
         with self._not_empty:
             while not self._items:

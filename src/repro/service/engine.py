@@ -29,12 +29,9 @@ Results are **bitwise-equal** to evaluating each request sequentially with
   request on its own sparse/mixed physical plan;
 * a lone request, and each request of a group whose physical plan uses a
   custom (caller-registered) backend, runs on its own physical plan, the
-  one ``evaluate`` picks; requests pinned to a non-dense backend run per
-  instance on it;
-* ragged coalescing (``CoalescingPolicy(ragged=True)``) only ever merges
-  padding-safe plans and slices each result back to its request's true
-  shape; padded results equal sequential ``evaluate`` bitwise on exact
-  semirings and within floating-point tolerance on float64;
+  one ``evaluate`` picks;
+* groups never merge across dimensions (no zero padding), so the contract
+  holds on float64 as on the exact semirings;
 * a request that raises (bad schema, carrier violation, overflow) delivers
   its exception through its own future without poisoning the group: the
   scheduler retries the group's surviving members per-instance.
@@ -114,14 +111,6 @@ class Engine:
     functions:
         Pointwise-function registry shared by all requests (defaults to the
         paper's registry, like the evaluator).
-    backend:
-        ``None`` / ``"auto"`` (the default) runs per-request adaptive
-        physical planning, exactly like ``evaluate``; a concrete name pins
-        every request to that backend (``"dense"`` keeps batching, anything
-        else forces the per-instance path).
-    options:
-        Optional :class:`~repro.matlang.compiler.OptimizationOptions`
-        applied to every compilation this engine performs.
     workers:
         ``0`` (the default) keeps the single-process scheduler.  ``N >= 1``
         starts a sharded pool of N forked worker processes and turns this
@@ -131,8 +120,6 @@ class Engine:
         pooled mode (where the front door is the natural cache point);
         ``True`` / ``False`` force it either way.  Memoized repeats of an
         identical ``(plan, instance)`` pair resolve without executing.
-    memo_capacity / memo_bytes:
-        Bounds of the result memo (entries / retained result bytes).
     trace:
         Request tracing.  ``None`` / ``False`` (the default) records
         nothing and costs nothing beyond one attribute read per pipeline
@@ -152,12 +139,8 @@ class Engine:
         self,
         policy: Optional[CoalescingPolicy] = None,
         functions: Any = None,
-        backend: Any = None,
-        options: Any = None,
         workers: int = 0,
         memoize: Optional[bool] = None,
-        memo_capacity: int = 512,
-        memo_bytes: int = 64 * 1024 * 1024,
         trace: Any = None,
     ) -> None:
         from repro.matlang.functions import default_registry
@@ -167,8 +150,6 @@ class Engine:
             raise ValueError(f"workers must be >= 0, got {workers!r}")
         self.policy = policy if policy is not None else CoalescingPolicy()
         self.functions = functions if functions is not None else default_registry()
-        self.backend_request = backend
-        self.options = options
         self.workers = workers
         self._stats = EngineStats()
         if trace is None or trace is False:
@@ -206,7 +187,7 @@ class Engine:
         if memoize:
             from repro.service.memo import ResultMemo
 
-            self._memo: Any = ResultMemo(capacity=memo_capacity, byte_limit=memo_bytes)
+            self._memo: Any = ResultMemo()
         else:
             self._memo = None
 
@@ -221,8 +202,6 @@ class Engine:
                 deliver=self._deliver_pooled,
                 policy=self.policy,
                 functions=self.functions,
-                backend=backend,
-                options=options,
                 stats=self._stats,
             )
         else:
@@ -538,7 +517,7 @@ class Engine:
             context = tracer.start()
         try:
             # Warm repeats hit the plan cache's identity front in O(1).
-            plan = compile_expression(expression, instance.schema, self.options)
+            plan = compile_expression(expression, instance.schema)
         except Exception as error:  # typing / schema errors belong to the future
             if context is not None:
                 context.add_perf(
@@ -810,9 +789,10 @@ class Engine:
         """Execute one coalesced group through the batch chunker.
 
         :func:`repro.matlang.evaluator.plan_chunks` splits the group by
-        dimensions (merging near-miss sizes under ``policy.ragged``), picks
-        each part's lane and sizes its chunks, exactly as for a
-        ``run_batch`` sweep; the engine runs the chunks it yields.
+        dimensions, picks each part's lane and sizes its chunks, as for a
+        ``run_batch(..., ragged=False)`` sweep; the engine runs the chunks
+        it yields.  Near-miss sizes are not padded into one batch, so every
+        result is the one ``evaluate`` computes.
         """
         if faults.ACTIVE is not None:
             faults.ACTIVE.fire("engine.dispatch")
@@ -823,19 +803,8 @@ class Engine:
             requests = self._shed_expired(requests)
             if not requests:
                 return
-        backend = self.backend_request
-        if backend not in (None, "auto", "dense"):
-            # A pinned non-dense backend (a name or an instance) is honoured
-            # verbatim, per instance: the batched lanes only speak the
-            # built-in representations.
-            for request in requests:
-                self._execute_single(request)
-            return
         chunks = plan_chunks(
-            group.plan,
-            [request.instance for request in requests],
-            ragged=self.policy.ragged,
-            backend=backend,
+            group.plan, [request.instance for request in requests], ragged=False
         )
         for chunk in chunks:
             members = [requests[position] for position in chunk.positions]
@@ -879,10 +848,7 @@ class Engine:
         self._finish_chunk(requests, results)
 
     def _execute_single(self, request: QueryRequest) -> None:
-        """Run one request alone, on the plan ``evaluate`` picks for it.
-
-        A pinned backend is honoured instead.
-        """
+        """Run one request alone, on the plan ``evaluate`` picks for it."""
         context = request.trace
         collector = None
         if context is not None:
@@ -894,11 +860,7 @@ class Engine:
         started = time.perf_counter()
         try:
             result = run_plan(
-                request.plan,
-                request.instance,
-                self.functions,
-                self.backend_request,
-                collector,
+                request.plan, request.instance, self.functions, profiler=collector
             )
         except Exception as error:
             if context is not None:

@@ -7,13 +7,15 @@ Three small, independently testable pieces the pooled engine composes:
   *strikes* (within a sliding window, so a long-lived pool does not trip on
   rare coincidences); at ``strikes`` the breaker **opens** and requests for
   that plan stop reaching the pool — they run on the router's sandboxed
-  single-instance path or resolve with
-  :class:`~repro.exceptions.PlanQuarantinedError` instead of crash-looping
-  the workers.  After ``reset_after`` seconds the breaker goes
-  **half-open**: exactly one probe request is let through; success closes
-  the breaker, another death re-opens it.  Breaker state is keyed by the
-  wire plan id and resets wholesale on a profile-generation bump (a replan
-  invalidates the evidence along with every other plan-keyed cache).
+  single-instance path instead of crash-looping the workers (a request
+  whose sandbox dies too resolves with
+  :class:`~repro.exceptions.PlanQuarantinedError`).  After ``reset_after``
+  seconds the breaker goes **half-open**: exactly one probe request is let
+  through; success closes the breaker, another death re-opens it, and a
+  probe that never reaches a worker hands its slot back.  Breaker state is
+  keyed by the wire plan id and resets wholesale on a profile-generation
+  bump (a replan invalidates the evidence along with every other
+  plan-keyed cache).
 
 * :class:`Watchdog` — a daemon thread running a ``scan`` callback on a
   fixed cadence, swallowing scan exceptions (a monitoring bug must never
@@ -33,7 +35,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterator, Optional
 
-__all__ = ["BreakerSnapshot", "CircuitBreaker", "Watchdog", "backoff_delays"]
+__all__ = ["CircuitBreaker", "Watchdog", "backoff_delays"]
 
 
 CLOSED = "closed"
@@ -61,10 +63,6 @@ class _PlanBreaker:
         self.opened_at = 0.0
         #: Whether a half-open probe is currently in flight.
         self.probing = False
-
-
-class BreakerSnapshot(dict):
-    """Plain-dict snapshot of one plan's breaker (state, strikes, age)."""
 
 
 class CircuitBreaker:
@@ -117,7 +115,8 @@ class CircuitBreaker:
 
         ``probe`` is returned at most once per reset window — the caller
         dispatches that request to the pool normally and reports the
-        outcome via :meth:`record_success` / :meth:`strike`.
+        outcome via :meth:`record_success` / :meth:`strike`, or via
+        :meth:`release_probe` if the probe never reached a worker.
         """
         now = time.monotonic()
         with self._lock:
@@ -167,6 +166,17 @@ class CircuitBreaker:
             elif entry.state == CLOSED and not entry.strikes:
                 self._plans.pop(key, None)
 
+    def release_probe(self, key: Any) -> None:
+        """The half-open probe resolved without reaching a worker.
+
+        It proved nothing either way, so the plan stays half-open and its
+        next admission probes again.
+        """
+        with self._lock:
+            entry = self._plans.get(key)
+            if entry is not None and entry.state == HALF_OPEN:
+                entry.probing = False
+
     # ------------------------------------------------------------------
     def is_open(self, key: Any) -> bool:
         """Whether the plan is currently quarantined (open or half-open).
@@ -184,20 +194,6 @@ class CircuitBreaker:
             return sum(
                 1 for entry in self._plans.values() if entry.state != CLOSED
             )
-
-    def snapshot(self) -> Dict[Any, BreakerSnapshot]:
-        """Per-plan breaker states for stats / debugging."""
-        now = time.monotonic()
-        with self._lock:
-            return {
-                key: BreakerSnapshot(
-                    state=entry.state,
-                    strikes=len(entry.strikes),
-                    open_age=(now - entry.opened_at) if entry.state != CLOSED else 0.0,
-                    probing=entry.probing,
-                )
-                for key, entry in self._plans.items()
-            }
 
 
 class Watchdog:

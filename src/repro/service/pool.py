@@ -80,16 +80,22 @@ chewing on a task ``policy.hung_task_grace`` seconds past the task's
 deadline.  The kill turns the hang into the pipe-EOF the rescue machinery
 already heals, so dead and hung workers share one recovery path.
 
+A send that fails (its worker died mid-route) is retried
+:data:`DISPATCH_RETRIES` times, with exponential backoff starting at
+:data:`RETRY_BACKOFF` seconds, before the request fails with
+:class:`~repro.exceptions.WorkerCrashError`.
+
 A plan whose tasks keep *coinciding* with worker deaths is treated as the
 probable cause: each death strikes every orphaned task's plan on a
 :class:`~repro.service.health.CircuitBreaker`, and a plan that accumulates
 ``policy.quarantine_strikes`` strikes is quarantined — its requests run on
 the router's sandboxed single-instance lane (one disposable forked process
-per request, so a poison plan can only kill its own sandbox) or, with
-``policy.quarantine_execute=False``, resolve immediately with
+per request, so a poison plan can only kill its own sandbox); a request
+whose sandbox dies too resolves with
 :class:`~repro.exceptions.PlanQuarantinedError`.  After
 ``policy.quarantine_reset`` seconds one probe request is let back into the
-pool; surviving closes the breaker, dying re-opens it.
+pool; surviving closes the breaker, dying re-opens it, and a probe that
+never reaches a worker hands its slot to the plan's next request.
 """
 
 from __future__ import annotations
@@ -115,6 +121,12 @@ from repro.service.health import CircuitBreaker, Watchdog, backoff_delays
 from repro.service.router import ShardRouter
 
 __all__ = ["WorkerCrashError", "WorkerPool"]
+
+#: Retries of a failed send before the request fails (see the module doc).
+DISPATCH_RETRIES = 3
+
+#: Seconds before the first retry; each further retry waits twice as long.
+RETRY_BACKOFF = 0.01
 
 
 def _reinit_module_locks() -> None:
@@ -153,12 +165,12 @@ def _rebuild_instance(schema, dimensions, semiring, matrices):
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _worker_main(index: int, connection, policy, functions, backend, options) -> None:
+def _worker_main(index: int, connection, policy, functions) -> None:
     from repro.semiring.registry import get_semiring
     from repro.service.engine import Engine
 
     _reinit_module_locks()
-    engine = Engine(policy=policy, functions=functions, backend=backend, options=options)
+    engine = Engine(policy=policy, functions=functions)
     plans: Dict[int, Any] = {}
     schemas: Dict[int, Any] = {}
     send_lock = threading.Lock()
@@ -389,10 +401,7 @@ def _sandbox_main(connection, plan, instance, functions) -> None:
     _reinit_module_locks()
     try:
         from repro.matlang.evaluator import run_plan
-        from repro.matlang.functions import default_registry
 
-        if functions is None:
-            functions = default_registry()
         connection.send(("ok", np.asarray(run_plan(plan, instance, functions))))
     except BaseException as error:
         try:
@@ -525,7 +534,11 @@ class WorkerPool:
     pool calls it exactly once per submitted task, from a parent-side
     receiver thread.  ``policy`` is the engine's
     :class:`~repro.service.batching.CoalescingPolicy`; its workers serve
-    under it, and the pool reads its retry, heartbeat and quarantine knobs.
+    under it, and the pool reads its heartbeat and quarantine knobs.
+    ``functions`` is the engine's pointwise-function registry, which the
+    workers and the quarantine sandbox run with, and ``stats`` the
+    engine's :class:`~repro.service.stats.EngineStats`, where the pool
+    counts respawns, retries, watchdog kills and quarantine events.
     """
 
     def __init__(
@@ -533,10 +546,8 @@ class WorkerPool:
         workers: int,
         deliver: Callable[[_Task, Any, Optional[BaseException]], None],
         policy,
-        functions=None,
-        backend=None,
-        options=None,
-        stats=None,
+        functions,
+        stats,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -546,13 +557,10 @@ class WorkerPool:
             raise RuntimeError(
                 "the worker pool requires the 'fork' start method"
             ) from None
-        self.workers = workers
         self.router = ShardRouter(workers)
         self._deliver = deliver
         self._policy = policy
         self._functions = functions
-        self._backend = backend
-        self._options = options
         self._stats = stats
         self._lock = threading.Lock()
         # Serializes every fork in the pool (worker spawns, sandbox runs)
@@ -565,8 +573,8 @@ class WorkerPool:
         self._closed = False
         self._task_counter = 0
         self._plan_counter = 0
-        #: ``id(plan) -> (pinned plan, wire plan id, payload, schema)``.
-        self._plans: Dict[int, Tuple[Any, int, bytes, Any]] = {}
+        #: ``id(plan) -> (pinned plan, wire plan id, payload)``.
+        self._plans: Dict[int, Tuple[Any, int, bytes]] = {}
 
         self.breaker = CircuitBreaker(
             strikes=policy.quarantine_strikes, reset_after=policy.quarantine_reset
@@ -589,21 +597,14 @@ class WorkerPool:
     def _spawn(self, handle: _WorkerHandle, respawn: bool = False) -> None:
         from repro.semiring.registry import available_semirings
 
-        if respawn and self._stats is not None:
+        if respawn:
             self._stats.record_respawn()
 
         with self._fork_lock:
             parent_conn, child_conn = self._context.Pipe(duplex=True)
             process = self._context.Process(
                 target=_worker_main,
-                args=(
-                    handle.index,
-                    child_conn,
-                    self._policy,
-                    self._functions,
-                    self._backend,
-                    self._options,
-                ),
+                args=(handle.index, child_conn, self._policy, self._functions),
                 name=f"repro-worker-{handle.index}",
                 daemon=True,
             )
@@ -690,7 +691,7 @@ class WorkerPool:
             # enough to retire breaker evidence (a half-open probe's success
             # closes the breaker here).
             self.breaker.record_success(task.plan_id)
-            if task.probe and self._stats is not None:
+            if task.probe:
                 self._stats.set_quarantine_open(self.breaker.open_count())
         self._deliver(task, result, error)
 
@@ -726,10 +727,9 @@ class WorkerPool:
         }:
             if self.breaker.strike(plan_id):
                 tripped += 1
-        if self._stats is not None:
-            for _ in range(tripped):
-                self._stats.record_quarantine_trip()
-            self._stats.set_quarantine_open(self.breaker.open_count())
+        for _ in range(tripped):
+            self._stats.record_quarantine_trip()
+        self._stats.set_quarantine_open(self.breaker.open_count())
         # The send lock keeps a _send_task that already passed its liveness
         # check on one pipe: without it, a sender could register its plan
         # with the old worker and submit to the new one, which has never
@@ -824,42 +824,29 @@ class WorkerPool:
         if verdict == "open":
             self._quarantine(task)
             return
-        if verdict == "probe":
-            task.probe = True
+        task.probe = verdict == "probe"  # re-set when a rescue re-routes
         self._dispatch(task)
 
     def _quarantine(self, task: _Task) -> None:
-        """Answer one task on the quarantine path (sandbox or typed error)."""
-        if self._stats is not None:
-            self._stats.record_quarantined()
-        if self._policy.quarantine_execute:
-            self._lane.submit(task)
-        else:
-            self._deliver(
-                task,
-                None,
-                PlanQuarantinedError(
-                    "the plan is quarantined after repeated worker crashes"
-                ),
-            )
+        """Send one task of a quarantined plan to the sandbox lane."""
+        self._stats.record_quarantined()
+        self._lane.submit(task)
 
-    def _plan_record(self, plan) -> Tuple[int, bytes, Any]:
+    def _plan_record(self, plan) -> Tuple[int, bytes]:
         from repro.matlang.ir import serialize_plan
 
         with self._lock:
             record = self._plans.get(id(plan))
             if record is not None and record[0] is plan:
-                return record[1], record[2], record[3]
+                return record[1], record[2]
         payload = serialize_plan(plan)
         with self._lock:
             record = self._plans.get(id(plan))
             if record is not None and record[0] is plan:
-                return record[1], record[2], record[3]
+                return record[1], record[2]
             self._plan_counter += 1
-            # The schema rides along once per plan: every instance of the
-            # plan conforms to it, so per-submit traffic carries dims only.
-            self._plans[id(plan)] = (plan, self._plan_counter, payload, None)
-            return self._plan_counter, payload, None
+            self._plans[id(plan)] = (plan, self._plan_counter, payload)
+            return self._plan_counter, payload
 
     def _dispatch(self, task: _Task) -> None:
         """Dispatch with bounded-backoff retries around transient failures.
@@ -868,12 +855,16 @@ class WorkerPool:
         usually up within the first backoff step, so retrying locally is
         far cheaper than burning the task's one crash rescue.  The retry
         budget exhausted, the failure surfaces as
-        :class:`~repro.exceptions.WorkerCrashError`.
+        :class:`~repro.exceptions.WorkerCrashError`.  A half-open probe
+        that is shed or runs out of retries never reached a worker, so it
+        hands its probe slot back to the breaker.
         """
         if task.deadline_at is not None and time.perf_counter() >= task.deadline_at:
             # O(µs) shed: nobody is waiting for this result anymore (also
             # the fate of a rescued task whose deadline lapsed while its
             # worker hung — the watchdog test's deterministic outcome).
+            if task.probe:
+                self.breaker.release_probe(task.plan_id)
             self._deliver(
                 task,
                 None,
@@ -882,8 +873,7 @@ class WorkerPool:
                 ),
             )
             return
-        retries = self._policy.dispatch_retries
-        delays = backoff_delays(retries, base=self._policy.retry_backoff)
+        delays = backoff_delays(DISPATCH_RETRIES, base=RETRY_BACKOFF)
         while True:
             try:
                 self._dispatch_once(task)
@@ -891,18 +881,19 @@ class WorkerPool:
             except Exception as error:
                 delay = next(delays, None)
                 if delay is None or self._closed:
+                    if task.probe:
+                        self.breaker.release_probe(task.plan_id)
                     if isinstance(error, WorkerCrashError):
                         raise
                     raise WorkerCrashError(
-                        f"dispatch failed after {retries} "
+                        f"dispatch failed after {DISPATCH_RETRIES} "
                         f"retries: {type(error).__name__}: {error}"
                     ) from error
-                if self._stats is not None:
-                    self._stats.record_dispatch_retry()
+                self._stats.record_dispatch_retry()
                 time.sleep(delay)
 
     def _dispatch_once(self, task: _Task) -> None:
-        plan_id, payload, _ = self._plan_record(task.plan)
+        plan_id, payload = self._plan_record(task.plan)
         instance = task.instance
         shard = self.router.shard_for(
             plan_id, instance.semiring.name, instance.dimensions
@@ -949,6 +940,8 @@ class WorkerPool:
             if not handle.alive:
                 raise WorkerCrashError(f"worker {handle.index} is down")
             if plan_id not in handle.registered:
+                # The schema rides along once per plan: every instance of
+                # the plan conforms to it, so a submit carries dims only.
                 handle.connection.send(
                     ("plan", plan_id, payload, instance.schema)
                 )
@@ -1053,15 +1046,12 @@ class WorkerPool:
                             break
                 if hung:
                     doomed.append(handle)
-        if self._stats is not None:
-            self._stats.set_heartbeat_age(oldest)
+        self._stats.set_heartbeat_age(oldest)
         for handle, connection in unreaped:
-            if self._stats is not None:
-                self._stats.record_watchdog_kill()
+            self._stats.record_watchdog_kill()
             self._on_worker_death(handle, expect=connection)
         for handle in doomed:
-            if self._stats is not None:
-                self._stats.record_watchdog_kill()
+            self._stats.record_watchdog_kill()
             process = handle.process
             try:
                 if process is not None and process.is_alive():

@@ -92,7 +92,7 @@ class EngineStatsSnapshot:
     watchdog_kills: int = 0
     #: Plan circuit-breaker trips (closed -> open, incl. failed probes).
     quarantine_trips: int = 0
-    #: Requests answered on the quarantine path (sandbox or typed rejection).
+    #: Requests sent to the quarantine sandbox.
     quarantined_requests: int = 0
     #: Plans whose breaker is currently open or half-open (gauge).
     quarantine_open: int = 0
@@ -332,7 +332,7 @@ class EngineStats:
             self._quarantine_trips += 1
 
     def record_quarantined(self) -> None:
-        """One request answered on the quarantine path (sandbox/rejection)."""
+        """One request sent to the quarantine sandbox."""
         with self._lock:
             self._quarantined_requests += 1
 

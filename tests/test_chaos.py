@@ -14,16 +14,24 @@ invariants:
   sequential ``evaluate`` of the same request (no cross-wired results);
 * **typed failures** — every error is either a
   :class:`~repro.exceptions.ServiceError` or the injected fault itself.
+
+A second storm runs the same stream at the default policy with every
+tenth request replaced by a plan that kills whatever process evaluates
+it, so the circuit breaker trips and the quarantine sandbox runs under
+load: no poison request may succeed, and the breaker must stop the
+poison from crash-looping the workers.
 """
 
+import os
 import threading
 
 import numpy as np
 import pytest
 
 from repro.exceptions import DeadlineExceededError, ServiceError
-from repro.matlang.builder import ssum, var
+from repro.matlang.builder import apply, ssum, var
 from repro.matlang.evaluator import evaluate
+from repro.matlang.functions import default_registry
 from repro.matlang.instance import Instance
 from repro.semiring import BOOLEAN, INTEGER, MAX_PLUS, MIN_PLUS, NATURAL, REAL
 from repro.semiring.provenance import PROVENANCE, Polynomial
@@ -145,6 +153,44 @@ class TestChaosStorm:
         assert snapshot.sparse_batched_requests <= snapshot.batched_requests
         assert snapshot.sparse_batches <= snapshot.dispatches
         assert snapshot.sparse_assembly_seconds >= 0.0
+
+    def test_poison_plan_storm_trips_the_breaker_at_the_default_policy(self):
+        # Every tenth request applies a function that exits its process:
+        # it kills each worker it reaches, and the sandbox too.  The
+        # breaker (default strikes) must quarantine it after a few deaths,
+        # while the other plan keeps being served correctly.
+        total = 300
+        expression, stream = _mixed_stream(total)
+        registry = default_registry()
+        registry.register_simple("die", 1, lambda x: os._exit(13))
+        poison = apply("die", var("A"))
+        strikes = CoalescingPolicy().quarantine_strikes
+        successes = 0
+        errors = []
+        with Engine(workers=3, functions=registry, memoize=False) as engine:
+            for chunk_start in range(0, total, 50):
+                futures = []
+                for index in range(chunk_start, chunk_start + 50):
+                    instance, expected = stream[index]
+                    query = poison if index % 10 == 9 else expression
+                    futures.append((index, engine.submit(query, instance), expected))
+                for index, future, expected in futures:
+                    error = future.exception(120)  # liveness: must resolve
+                    if error is None:
+                        assert index % 10 != 9, f"poison request {index} succeeded"
+                        assert _entrywise_equal(future.result(0), expected), (
+                            f"request {index} returned a wrong value"
+                        )
+                        successes += 1
+                    else:
+                        assert isinstance(error, ServiceError), (
+                            f"request {index} failed untyped: {error!r}"
+                        )
+                        errors.append(error)
+            snapshot = engine.stats()
+        assert successes + len(errors) == total
+        assert snapshot.quarantine_trips >= 1
+        assert snapshot.worker_respawns <= 2 * strikes
 
     def test_overload_and_deadline_storm_single_process(self):
         # Eight submitter threads race a scheduler that an injected sleep

@@ -19,9 +19,9 @@ Covers the PR-6 pipeline end to end:
   refit invalidates a serving engine's memo and plans;
 * **calibration CLI** — ``python -m repro.calibrate`` runs the sweep,
   writes the JSON profile, and the written profile auto-loads;
-* **ragged serving** — ``CoalescingPolicy(ragged=True)`` merges near-miss
-  dimension groups into zero-padded batches with results sliced back to
-  true shape, matching sequential evaluation.
+* **ragged batching** — the batch chunker merges near-miss dimension
+  groups into zero-padded batches with results sliced back to true shape,
+  matching sequential evaluation (the serving engine never pads).
 """
 
 from __future__ import annotations
@@ -34,7 +34,13 @@ import pytest
 from repro.exceptions import EvaluationError, SemiringError
 from repro.matlang.builder import prod, var
 from repro.matlang.compiler import clear_plan_cache, compile_expression
-from repro.matlang.evaluator import Evaluator, evaluate, evaluate_batch, plan_chunks
+from repro.matlang.evaluator import (
+    Evaluator,
+    evaluate,
+    evaluate_batch,
+    plan_chunks,
+    run_plan_batch,
+)
 from repro.matlang.functions import default_registry
 from repro.matlang.instance import Instance
 from repro.matlang.ir import Plan, execute_plan, execute_plan_batch, serialize_plan
@@ -51,7 +57,7 @@ from repro.profile.calibration import run_calibration
 from repro.semiring import BOOLEAN, INTEGER, MAX_PLUS, MIN_PLUS, NATURAL, REAL
 from repro.semiring.backends import AUTO_SPARSE_MIN_DIMENSION, backend_for, plan_physical
 from repro.semiring.provenance import PROVENANCE, Polynomial
-from repro.service import CoalescingPolicy, Engine
+from repro.service import Engine
 from repro.stdlib import transitive_closure_product
 
 try:
@@ -520,7 +526,7 @@ class TestProfileFeedback:
         # and plans made under the old profile.
         instance = _mixed_instance(REAL, 24)
         schema = instance.schema
-        with Engine(memoize=True, backend=backend_for(REAL, "dense")) as engine:
+        with Engine(memoize=True) as engine:
             served = engine.submit(MIXED_EXPRESSION, instance).result(30)
             engine.submit(MIXED_EXPRESSION, instance).result(30)
             assert engine.stats().memo_hits == 1
@@ -539,6 +545,38 @@ class TestProfileFeedback:
         assert snapshot.memo_hits == 1  # the memoized result was not reused
         assert snapshot.memo_misses == 2
         assert np.array_equal(refit, served)
+
+    def test_execution_profiler_fits_op_overhead_from_one_unit_constructs(self):
+        # 1x1 constants cost their dispatch (~5 us); matmuls cost the same
+        # dispatch plus 1 ns per unit of work.  The fitted overhead must be
+        # the constants' seconds in the fitted matmul units, as
+        # run_calibration measures it, not the residual floor of 1.0.
+        from repro.matlang.ir import PlanOp
+
+        rng = np.random.default_rng(0)
+        profiler = ExecutionProfiler()
+        scalar = np.ones((1, 1))
+        for _ in range(200):
+            seconds = 5e-6 * rng.uniform(0.9, 1.1)
+            profiler.record(PlanOp("const"), "dense", [scalar], seconds)
+        for _ in range(200):
+            size = int(rng.integers(16, 49))
+            operands = [np.ones((size, size))] * 3
+            seconds = 5e-6 + 1e-9 * size**3
+            profiler.record(PlanOp("matmul", (0, 1)), "dense", operands, seconds)
+        fitted = profiler.fit(base=DEFAULT_PROFILE)
+        assert DEFAULT_PROFILE.op_overhead == 512
+        expected = 5e-6 / fitted.unit_costs["dense.matmul"]
+        assert 4000 < expected < 5000
+        assert fitted.op_overhead == pytest.approx(expected, rel=0.05)
+        # Without one-unit samples the base overhead is kept.
+        matmuls_only = ExecutionProfiler()
+        for size in range(16, 48):
+            operands = [np.ones((size, size))] * 3
+            matmuls_only.record(
+                PlanOp("matmul", (0, 1)), "dense", operands, 5e-6 + 1e-9 * size**3
+            )
+        assert matmuls_only.fit(base=DEFAULT_PROFILE).op_overhead == 512
 
     def test_execution_profiler_counts_batched_matmul_work(self):
         # A (B, r, k) @ (B, k, c) stack multiplies B r x k by k x c matrices.
@@ -614,7 +652,7 @@ def test_gates_that_need_no_profile_come_before_profiling(monkeypatch, semiring)
 
 
 # ----------------------------------------------------------------------
-# Ragged serving
+# Ragged batching (the serving engine never pads)
 # ----------------------------------------------------------------------
 class TestRaggedServing:
     @staticmethod
@@ -633,11 +671,8 @@ class TestRaggedServing:
             for seed, size in enumerate((15, 16, 17, 15, 16, 17, 40))
         ]
         expected = [evaluate(self.EXPRESSION, inst) for inst in instances]
-        with Engine(policy=CoalescingPolicy(max_delay=0.05, ragged=True)) as engine:
-            futures = engine.submit_many(
-                (self.EXPRESSION, inst) for inst in instances
-            )
-            results = [future.result(30) for future in futures]
+        plan = compile_expression(self.EXPRESSION, instances[0].schema)
+        results = run_plan_batch(plan, instances, default_registry(), ragged=True)
         for got, want in zip(results, expected):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
@@ -658,16 +693,6 @@ class TestRaggedServing:
             assert instance is original
             assert instance.dimension("alpha") == size
             assert instance.matrix("A").shape == (size, size)
-        # The engine serves the same burst as one padded dispatch.
-        policy = CoalescingPolicy(max_delay=0.05, ragged=True)
-        with Engine(policy=policy) as engine:
-            futures = engine.submit_many((self.EXPRESSION, inst) for inst in instances)
-            served = [future.result(30) for future in futures]
-            snapshot = engine.stats()
-        assert snapshot.dispatches == 1
-        assert snapshot.batched_requests == 3
-        for got, want in zip(served, results):
-            assert np.array_equal(got, want)
 
     def test_padding_unsafe_plans_never_merge(self):
         instances = [_mixed_instance(REAL, size) for size in (15, 16, 17)]

@@ -43,6 +43,7 @@ import pytest
 from repro.matlang.builder import ssum, var
 from repro.matlang.compiler import compile_expression
 from repro.matlang.evaluator import evaluate
+from repro.matlang.functions import default_registry
 from repro.matlang.instance import Instance
 from repro.matlang.ir import (
     PLAN_WIRE_VERSION,
@@ -165,7 +166,7 @@ def _bare_worker(**knobs):
     connection, child = context.Pipe(duplex=True)
     process = context.Process(
         target=_worker_main,
-        args=(0, child, CoalescingPolicy(**knobs), None, None, None),
+        args=(0, child, CoalescingPolicy(**knobs), default_registry()),
         daemon=True,
     )
     process.start()

@@ -26,6 +26,7 @@ Covers the four coupled tentpole pieces and the satellites:
   length prefixes, handler exceptions inside a burst, connect timeouts.
 """
 
+import os
 import socket
 import struct
 import time
@@ -38,10 +39,10 @@ from repro.exceptions import (
     EngineDiedError,
     EngineOverloadedError,
     PlanQuarantinedError,
-    ServiceError,
 )
-from repro.matlang.builder import ssum, var
+from repro.matlang.builder import apply, ssum, var
 from repro.matlang.evaluator import evaluate
+from repro.matlang.functions import default_registry
 from repro.matlang.instance import Instance
 from repro.profile import DEFAULT_PROFILE, set_active_profile
 from repro.semiring import REAL
@@ -51,6 +52,7 @@ from repro.service import (
     QueryClient,
     QueryServer,
     RemoteQueryError,
+    WorkerCrashError,
     faults,
 )
 from repro.service.faults import FaultInjector, InjectedFault, injected_faults
@@ -181,6 +183,18 @@ class TestHealthPrimitives:
         assert breaker.strike("plan") is True  # the probe died: reopen
         assert breaker.admit("plan") == "open"
         assert breaker.trips == 2
+
+    def test_breaker_probe_released_unrun_lets_the_next_admission_probe(self):
+        breaker = CircuitBreaker(strikes=1, reset_after=0.02)
+        assert breaker.strike("plan") is True
+        time.sleep(0.03)
+        assert breaker.admit("plan") == "probe"
+        assert breaker.admit("plan") == "open"
+        breaker.release_probe("plan")  # the probe never reached a worker
+        assert breaker.admit("plan") == "probe"
+        assert breaker.trips == 1
+        breaker.release_probe("other")  # unknown plans are left alone
+        assert breaker.admit("other") == "closed"
 
     def test_breaker_resets_on_profile_generation_bump(self):
         breaker = CircuitBreaker(strikes=1, reset_after=60.0)
@@ -396,8 +410,6 @@ class TestPooledHealing:
                         else:
                             crashes.append(error)
                 snapshot = engine.stats()
-        from repro.service import WorkerCrashError
-
         assert all(isinstance(error, WorkerCrashError) for error in crashes)
         assert len(crashes) <= 8  # at most two waves' worth of double-orphans
         assert correct >= 32
@@ -427,27 +439,69 @@ class TestPooledHealing:
         assert snapshot.worker_respawns >= 2
         assert "quarantine=" in snapshot.render()
 
-    def test_quarantine_rejects_typed_when_execution_disabled(self):
+    def test_plan_that_kills_its_sandbox_resolves_quarantined(self):
+        # A genuinely poison plan: its pointwise function exits the process
+        # evaluating it, so it kills every worker and every sandbox alike.
+        # Two deaths trip the breaker; the sandbox dies too, and that crash
+        # verdict resolves each request with the typed quarantine error.
+        registry = default_registry()
+        registry.register_simple("die", 1, lambda x: os._exit(13))
+        expression = apply("die", var("A"))
+        policy = CoalescingPolicy(quarantine_strikes=2, quarantine_reset=60.0)
+        with Engine(
+            workers=1, functions=registry, policy=policy, memoize=False
+        ) as engine:
+            futures = [
+                engine.submit(expression, _instance(seed=seed)) for seed in range(6)
+            ]
+            outcomes = [future.exception(120) for future in futures]
+            snapshot = engine.stats()
+        assert all(isinstance(outcome, PlanQuarantinedError) for outcome in outcomes)
+        assert snapshot.quarantine_trips >= 1
+        assert snapshot.quarantined_requests >= 1
+        assert snapshot.worker_respawns >= 2
+
+    def test_probe_that_never_reaches_a_worker_hands_back_its_slot(self):
+        # The first task kills its worker and trips the breaker (one strike);
+        # the sandbox answers it.  Once the reset window passes, the next
+        # request is the half-open probe, and its sends fail until the
+        # retries run out.  It never reached a worker, so it proves
+        # nothing: the next request must probe again and close the breaker,
+        # instead of the plan staying quarantined until the profile changes.
         expression = _workload()
-        policy = CoalescingPolicy(
-            quarantine_strikes=2, quarantine_reset=60.0, quarantine_execute=False
-        )
-        with injected_faults(seed=3) as injector:
-            injector.arm("worker.task", "crash", every=1)
+        instance = _instance()
+        expected = evaluate(expression, instance)
+        policy = CoalescingPolicy(quarantine_strikes=1, quarantine_reset=0.2)
+
+        def unreachable(*args):
+            raise OSError("injected send failure")
+
+        with injected_faults(seed=5) as injector:
+            injector.arm("worker.task", "crash", match={"task": 1})
             with Engine(workers=1, policy=policy, memoize=False) as engine:
-                futures = [
-                    engine.submit(expression, _instance(seed=seed))
-                    for seed in range(10)
-                ]
-                outcomes = [future.exception(120) for future in futures]
-        # Every future resolved, and the quarantined tail is typed.
-        assert all(
-            outcome is None or isinstance(outcome, ServiceError)
-            for outcome in outcomes
-        )
-        assert any(
-            isinstance(outcome, PlanQuarantinedError) for outcome in outcomes
-        )
+                assert np.array_equal(
+                    engine.submit(expression, instance).result(60), expected
+                )
+                tripped = engine.stats()
+                assert tripped.quarantine_trips == 1
+                assert tripped.quarantined_requests == 1
+                time.sleep(0.3)
+                pool = engine._pool
+                pool._send_task = unreachable
+                try:
+                    probe = engine.submit(expression, instance)
+                    assert isinstance(probe.exception(60), WorkerCrashError)
+                finally:
+                    del pool._send_task
+                time.sleep(0.3)
+                for _ in range(2):
+                    assert np.array_equal(
+                        engine.submit(expression, instance).result(60), expected
+                    )
+                snapshot = engine.stats()
+        assert snapshot.quarantine_open == 0
+        assert snapshot.quarantined_requests == 1
+        assert snapshot.dispatch_retries >= 3
 
     def test_watchdog_kills_hung_worker_and_pool_recovers(self):
         # The first task wedges its worker far past deadline + grace; the
